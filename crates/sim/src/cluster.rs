@@ -67,12 +67,15 @@ impl<S: InstructionStream> ClusterSim<S> {
         if let Err(e) = config.validate() {
             panic!("invalid simulator configuration: {e}");
         }
+        // The uncore's large arrays (LLC tags, DRAM banks) are allocated
+        // first, ahead of the cores' small per-core buffers.
+        let mem = MemorySystem::new(&config);
         let cores = (0..config.cores)
             .map(|i| Core::new(i, config.core))
             .collect();
         let streams = (0..config.cores).map(&mut make_stream).collect();
         ClusterSim {
-            mem: MemorySystem::new(&config),
+            mem,
             config,
             cores,
             streams,

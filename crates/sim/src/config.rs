@@ -470,8 +470,12 @@ impl ClusterConfig {
     /// Returns [`SimConfigError::Cores`] when the core count is zero or
     /// exceeds [`Self::MAX_CORES`] (the sharer-mask width — `1 << core`
     /// on the directory mask would otherwise overflow silently in release
-    /// builds), and [`SimConfigError::Frequency`] when `core_mhz` is not
-    /// positive and finite.
+    /// builds), [`SimConfigError::Frequency`] when `core_mhz` is not
+    /// positive and finite, [`SimConfigError::ZeroCoreParameter`] for a
+    /// zero width, ROB size or MSHR count, [`SimConfigError::CacheWays`] /
+    /// [`SimConfigError::CacheSets`] for an L1 or LLC geometry with no
+    /// ways or a set count that is not a power of two, and
+    /// [`SimConfigError::LlcBanks`] for an LLC with no banks.
     pub fn validate_at(&self, cluster: usize) -> Result<(), SimConfigError> {
         if self.cores < 1 || self.cores > Self::MAX_CORES {
             return Err(SimConfigError::Cores {
@@ -484,6 +488,36 @@ impl ClusterConfig {
                 cluster,
                 core_mhz: self.core_mhz,
             });
+        }
+        let core = &self.core;
+        for (field, value) in [
+            ("core.width", core.width),
+            ("core.rob_entries", core.rob_entries),
+            ("core.mshrs", core.mshrs),
+        ] {
+            if value == 0 {
+                return Err(SimConfigError::ZeroCoreParameter { cluster, field });
+            }
+        }
+        for (cache, geometry) in [
+            ("core.l1i", core.l1i),
+            ("core.l1d", core.l1d),
+            ("llc.cache", self.llc.cache),
+        ] {
+            if geometry.ways == 0 {
+                return Err(SimConfigError::CacheWays { cluster, cache });
+            }
+            let sets = geometry.sets();
+            if !sets.is_power_of_two() {
+                return Err(SimConfigError::CacheSets {
+                    cluster,
+                    cache,
+                    sets,
+                });
+            }
+        }
+        if self.llc.banks == 0 {
+            return Err(SimConfigError::LlcBanks { cluster });
         }
         Ok(())
     }
@@ -660,6 +694,36 @@ pub enum SimConfigError {
         /// The rejected frequency in MHz.
         core_mhz: f64,
     },
+    /// A zero core width, ROB size or MSHR count: the core could never
+    /// issue, hold or miss on anything.
+    ZeroCoreParameter {
+        /// Index of the offending cluster.
+        cluster: usize,
+        /// The zero field, e.g. `"core.width"`.
+        field: &'static str,
+    },
+    /// A cache with zero ways.
+    CacheWays {
+        /// Index of the offending cluster.
+        cluster: usize,
+        /// The cache, e.g. `"core.l1d"` or `"llc.cache"`.
+        cache: &'static str,
+    },
+    /// A cache whose set count (`size_bytes / (ways × line)`) is zero or
+    /// not a power of two.
+    CacheSets {
+        /// Index of the offending cluster.
+        cluster: usize,
+        /// The cache, e.g. `"core.l1d"` or `"llc.cache"`.
+        cache: &'static str,
+        /// The rejected set count.
+        sets: u64,
+    },
+    /// An LLC with zero banks.
+    LlcBanks {
+        /// Index of the offending cluster.
+        cluster: usize,
+    },
     /// Invalid chip-shared DRAM geometry.
     Dram(DramConfigError),
 }
@@ -677,6 +741,23 @@ impl fmt::Display for SimConfigError {
                 f,
                 "cluster {cluster}: core frequency must be positive and finite, got {core_mhz}"
             ),
+            SimConfigError::ZeroCoreParameter { cluster, field } => {
+                write!(f, "cluster {cluster}: {field} must be at least 1")
+            }
+            SimConfigError::CacheWays { cluster, cache } => {
+                write!(f, "cluster {cluster}: {cache} must have at least one way")
+            }
+            SimConfigError::CacheSets {
+                cluster,
+                cache,
+                sets,
+            } => write!(
+                f,
+                "cluster {cluster}: {cache} must have a power-of-two number of sets, got {sets}"
+            ),
+            SimConfigError::LlcBanks { cluster } => {
+                write!(f, "cluster {cluster}: llc.banks must be at least 1")
+            }
             SimConfigError::Dram(e) => write!(f, "invalid DRAM configuration: {e}"),
         }
     }
@@ -778,6 +859,78 @@ mod tests {
                 cores: 0
             })
         ));
+    }
+
+    #[test]
+    fn validate_rejects_zero_core_parameters() {
+        let base = SimConfig::paper_cluster(1000.0);
+        for field in ["core.width", "core.rob_entries", "core.mshrs"] {
+            let mut c = base;
+            match field {
+                "core.width" => c.core.width = 0,
+                "core.rob_entries" => c.core.rob_entries = 0,
+                _ => c.core.mshrs = 0,
+            }
+            assert_eq!(
+                c.validate(),
+                Err(SimConfigError::ZeroCoreParameter { cluster: 0, field })
+            );
+        }
+    }
+
+    #[test]
+    fn validate_rejects_zero_way_caches() {
+        // Public fields bypass `CacheConfig::new`; zero ways used to reach
+        // a division by zero in `CacheConfig::sets`.
+        let mut c = SimConfig::paper_cluster(1000.0);
+        c.core.l1d.ways = 0;
+        assert_eq!(
+            c.validate(),
+            Err(SimConfigError::CacheWays {
+                cluster: 0,
+                cache: "core.l1d"
+            })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_bad_set_counts() {
+        let mut c = SimConfig::paper_cluster(1000.0);
+        c.llc.cache.size_bytes = 48 * 1024;
+        assert_eq!(
+            c.validate(),
+            Err(SimConfigError::CacheSets {
+                cluster: 0,
+                cache: "llc.cache",
+                sets: 48
+            })
+        );
+        let mut c = SimConfig::paper_cluster(1000.0);
+        c.core.l1i.size_bytes = 64;
+        assert_eq!(
+            c.validate(),
+            Err(SimConfigError::CacheSets {
+                cluster: 0,
+                cache: "core.l1i",
+                sets: 0
+            })
+        );
+    }
+
+    #[test]
+    fn validate_rejects_bankless_llc() {
+        let big = SimConfig::paper_cluster(1000.0);
+        let mut chip = ChipConfig::homogeneous(&big, 2);
+        chip.clusters[1].llc.banks = 0;
+        assert_eq!(
+            chip.validate(),
+            Err(SimConfigError::LlcBanks { cluster: 1 })
+        );
+        let msg = chip.validate().unwrap_err().to_string();
+        assert!(
+            msg.contains("cluster 1") && msg.contains("llc.banks"),
+            "{msg}"
+        );
     }
 
     #[test]

@@ -20,12 +20,9 @@
 use crate::bpred::{BranchPredictor, SyntheticBranchBehaviour};
 use crate::cache::{AccessOutcome, SetAssocArray};
 use crate::config::CoreConfig;
-use crate::fxhash::FxHashMap;
 use crate::instr::{InstructionStream, OpClass};
 use crate::memsys::{MemRequestKind, MemTicket, MemorySystem};
 use crate::stats::CoreStats;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Stage {
@@ -57,6 +54,155 @@ struct RobEntry {
     stage: Stage,
 }
 
+/// End of an intrusive wake list.
+const NO_SLOT: u32 = u32::MAX;
+
+/// No instruction line fetched since the last L1-I install.
+const NO_LINE: u64 = u64::MAX;
+
+/// Per-slot scheduler state (see [`IssueSched`]).
+#[derive(Debug, Clone, Copy)]
+struct SlotSched {
+    /// Cycle from which a deferred entry becomes issue-eligible.
+    eligible: u64,
+    /// First consumer waiting on this slot's result, or [`NO_SLOT`].
+    wake_head: u32,
+    /// The next consumer in the wake list this slot waits in.
+    wake_next: u32,
+}
+
+/// The issue scheduler, indexed by ROB slot: `seq & mask` with
+/// `mask = rob_entries.next_power_of_two() - 1`.
+///
+/// The window holds at most `rob_entries` contiguous sequence numbers, so
+/// no two in-window entries share a slot, and everything tracked here is
+/// in the window: waiting entries (which cannot commit), and producers
+/// with waiting consumers (which cannot commit before their completion
+/// cycle is known, the moment their wake list empties).
+#[derive(Debug)]
+struct IssueSched {
+    mask: u64,
+    /// Issue-eligible [`Stage::Waiting`] entries, one bit per slot.
+    /// Scanning from the ROB head's slot visits them in sequence order.
+    ready: Vec<u64>,
+    /// Waiting entries whose producer's completion cycle is known but may
+    /// still be ahead; eligible from their slot's `eligible` cycle.
+    future: Vec<u64>,
+    /// Earliest `eligible` cycle in `future` (`u64::MAX` when empty).
+    future_min: u64,
+    slots: Vec<SlotSched>,
+}
+
+impl IssueSched {
+    fn new(rob_entries: u32) -> Self {
+        let slots = (rob_entries as usize).next_power_of_two();
+        let words = slots.div_ceil(64);
+        IssueSched {
+            mask: slots as u64 - 1,
+            ready: vec![0; words],
+            future: vec![0; words],
+            future_min: u64::MAX,
+            slots: vec![
+                SlotSched {
+                    eligible: 0,
+                    wake_head: NO_SLOT,
+                    wake_next: NO_SLOT,
+                };
+                slots
+            ],
+        }
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        (seq & self.mask) as usize
+    }
+
+    fn set_ready(&mut self, seq: u64) {
+        let s = self.slot(seq);
+        self.ready[s >> 6] |= 1 << (s & 63);
+    }
+
+    fn clear_ready(&mut self, seq: u64) {
+        let s = self.slot(seq);
+        self.ready[s >> 6] &= !(1 << (s & 63));
+    }
+
+    /// Makes the entry in slot `s` eligible from `cycle`.
+    fn defer_slot(&mut self, s: usize, cycle: u64) {
+        self.future[s >> 6] |= 1 << (s & 63);
+        self.slots[s].eligible = cycle;
+        self.future_min = self.future_min.min(cycle);
+    }
+
+    /// Makes `seq` eligible from `cycle` (its producer's completion).
+    fn defer(&mut self, seq: u64, cycle: u64) {
+        self.defer_slot(self.slot(seq), cycle);
+    }
+
+    /// Parks `consumer` until `producer`'s completion cycle is known. A
+    /// consumer names one producer, so it sits in at most one list and
+    /// one link per slot suffices.
+    fn wait_on(&mut self, producer: u64, consumer: u64) {
+        let (p, c) = (self.slot(producer), self.slot(consumer));
+        self.slots[c].wake_next = self.slots[p].wake_head;
+        self.slots[p].wake_head = c as u32;
+    }
+
+    /// Defers `producer`'s waiting consumers to `cycle`, the cycle its
+    /// result is ready.
+    fn wake(&mut self, producer: u64, cycle: u64) {
+        let p = self.slot(producer);
+        let mut c = std::mem::replace(&mut self.slots[p].wake_head, NO_SLOT);
+        while c != NO_SLOT {
+            let next = self.slots[c as usize].wake_next;
+            self.defer_slot(c as usize, cycle);
+            c = next;
+        }
+    }
+
+    /// Moves every deferred entry eligible by `cycle` to `ready`. Issue
+    /// order comes from the sequence-order scan of `ready`, so the order
+    /// entries become ready in never matters.
+    fn drain_due(&mut self, cycle: u64) {
+        if self.future_min > cycle {
+            return;
+        }
+        let mut min = u64::MAX;
+        for w in 0..self.future.len() {
+            let mut bits = self.future[w];
+            while bits != 0 {
+                let b = bits.trailing_zeros();
+                bits &= bits - 1;
+                let eligible = self.slots[w * 64 + b as usize].eligible;
+                if eligible <= cycle {
+                    self.future[w] &= !(1 << b);
+                    self.ready[w] |= 1 << b;
+                } else {
+                    min = min.min(eligible);
+                }
+            }
+        }
+        self.future_min = min;
+    }
+
+    /// The smallest window offset in `from..len` whose entry is ready,
+    /// where offset `o` is sequence number `head + o`.
+    fn next_ready(&self, head: u64, from: usize, len: usize) -> Option<usize> {
+        let mut off = from;
+        while off < len {
+            let s = self.slot(head + off as u64);
+            // Offsets `off..off + run` are contiguous slots of one word.
+            let run = (64 - (s & 63)).min(self.slots.len() - s).min(len - off);
+            let bits = (self.ready[s >> 6] >> (s & 63)) & (u64::MAX >> (64 - run));
+            if bits != 0 {
+                return Some(off + bits.trailing_zeros() as usize);
+            }
+            off += run;
+        }
+        None
+    }
+}
+
 /// One out-of-order core.
 #[derive(Debug)]
 pub struct Core {
@@ -78,24 +224,13 @@ pub struct Core {
     /// Sequence numbers of ROB entries in [`Stage::Memory`], so completion
     /// polling touches only in-flight loads instead of scanning the window.
     in_flight_loads: Vec<u64>,
-    /// Issue-eligible [`Stage::Waiting`] entries (producer ready or no
-    /// dependency), by sequence number. Popping this heap in order
-    /// reproduces the old full-window scan's seq-order walk over exactly
-    /// the entries whose operand check would pass.
-    ready: BinaryHeap<Reverse<u64>>,
-    /// Entries whose producer's completion cycle is known but still ahead:
-    /// `(producer done_cycle, seq)`, drained into `ready` as cycles pass.
-    future: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Dependents of producers whose completion cycle is not yet known
-    /// (producer still `Waiting` or in `Memory`): producer seq → waiting
-    /// consumer seqs. Moved to `future` when the producer's completion
-    /// cycle materialises.
-    wake: FxHashMap<u64, Vec<u64>>,
-    /// Recycled wake lists (allocation-free steady state).
-    wake_pool: Vec<Vec<u64>>,
-    /// Reused buffer for issue-eligible entries that must retry next cycle
-    /// (MSHR-full loads).
-    retry_buf: Vec<u64>,
+    /// Which waiting entries may issue, and from when.
+    sched: IssueSched,
+    /// The L1-I line the previous fetch touched ([`NO_LINE`] after an
+    /// install). Only fetch and [`Core::install_l1i`] touch the L1-I, so
+    /// that line is still resident and most recent in its set: fetching
+    /// from it again hits and leaves every set's LRU order unchanged.
+    last_iline: u64,
     /// Background store (read-for-ownership) fills in flight.
     pending_stores: Vec<MemTicket>,
     /// Sequence number of the next instruction to issue under the
@@ -123,11 +258,8 @@ impl Core {
             redirect_on: None,
             outstanding_data: 0,
             in_flight_loads: Vec::new(),
-            ready: BinaryHeap::new(),
-            future: BinaryHeap::new(),
-            wake: FxHashMap::default(),
-            wake_pool: Vec::new(),
-            retry_buf: Vec::new(),
+            sched: IssueSched::new(cfg.rob_entries),
+            last_iline: NO_LINE,
             pending_stores: Vec::new(),
             inorder_next: 0,
             bpred: cfg
@@ -162,6 +294,7 @@ impl Core {
     /// (checkpoint-style warming).
     pub fn install_l1i(&mut self, line_addr: u64) {
         let _ = self.l1i.access(line_addr, false);
+        self.last_iline = NO_LINE;
     }
 
     /// Applies a coherence invalidation to the L1-D; returns the dirty flag
@@ -238,7 +371,7 @@ impl Core {
                         let done_cycle = (cycle + extra.div_ceil(period_ps) + 1).max(cycle);
                         e.stage = Stage::Done { done_cycle };
                         self.outstanding_data = self.outstanding_data.saturating_sub(1);
-                        self.wake_dependents(seq, done_cycle);
+                        self.sched.wake(seq, done_cycle);
                         false
                     }
                     None => true,
@@ -256,13 +389,6 @@ impl Core {
         }
     }
 
-    /// A cheap progress fingerprint: the sum of the monotonic work
-    /// counters plus the MSHR occupancy (which drops when a fill is
-    /// consumed). Equal fingerprints around a tick mean the tick made no
-    /// visible progress; the engine uses that to decide when probing for
-    /// a cycle skip is worth the cost. The fingerprint is a heuristic
-    /// only — a change it fails to see costs a wasted probe (which then
-    /// reports the core active), never correctness.
     /// Data misses currently in flight (MSHR occupancy). The engine uses a
     /// rise across a tick as a stall hint: a core that just launched a
     /// miss is likely about to block on it.
@@ -276,6 +402,13 @@ impl Core {
         self.rob.len()
     }
 
+    /// A cheap progress fingerprint: the sum of the monotonic work
+    /// counters plus the MSHR occupancy (which drops when a fill is
+    /// consumed). Equal fingerprints around a tick mean the tick made no
+    /// visible progress; the engine uses that to decide when probing for
+    /// a cycle skip is worth the cost. The fingerprint is a heuristic
+    /// only — a change it fails to see costs a wasted probe (which then
+    /// reports the core active), never correctness.
     pub(crate) fn activity_signature(&self) -> u64 {
         let s = &self.stats;
         s.user_instrs
@@ -447,35 +580,15 @@ impl Core {
         }
     }
 
-    /// Moves a completed producer's waiting dependents into the future
-    /// queue, eligible from `done_cycle` (the cycle its result is ready).
-    fn wake_dependents(&mut self, producer_seq: u64, done_cycle: u64) {
-        if let Some(mut deps) = self.wake.remove(&producer_seq) {
-            for s in deps.drain(..) {
-                self.future.push(Reverse((done_cycle, s)));
-            }
-            self.wake_pool.push(deps);
-        }
-    }
-
     /// Issues up to `width` eligible instructions in sequence order.
     ///
-    /// The old implementation scanned the whole window every cycle and
-    /// re-checked each waiting entry's producer. Eligibility is now
-    /// event-driven — entries enter `ready` when dispatched with a
-    /// satisfied (or absent) dependency, or via `future`/`wake` when their
-    /// producer's completion cycle passes — and the heap yields the same
-    /// seq-order walk over exactly the entries the scan's operand check
-    /// would have passed, so issue decisions are identical.
+    /// Eligibility is event-driven: an entry becomes ready when dispatched
+    /// with a satisfied (or absent) dependency, or when its producer's
+    /// completion cycle passes. The scan from the ROB head walks exactly
+    /// the entries whose operands are available, oldest first.
     fn issue(&mut self, mem: &mut MemorySystem, cycle: u64, now_ps: u64) {
         // Producers completing by this cycle unblock their dependents.
-        while let Some(&Reverse((c, seq))) = self.future.peek() {
-            if c > cycle {
-                break;
-            }
-            self.future.pop();
-            self.ready.push(Reverse(seq));
-        }
+        self.sched.drain_due(cycle);
 
         let mut issued = 0;
         let width = self.cfg.width;
@@ -485,26 +598,28 @@ impl Core {
         let core_id = self.id;
 
         let mut resolved_redirect: Option<u64> = None;
-        let mut retry = std::mem::take(&mut self.retry_buf);
+        let head = self.rob.front().map_or(0, |e| e.seq);
+        let len = self.rob.len();
+        let mut from = 0;
         while issued < width {
-            let Some(&Reverse(seq)) = self.ready.peek() else {
+            let Some(idx) = self.sched.next_ready(head, from, len) else {
                 break;
             };
+            from = idx + 1;
+            let seq = head + idx as u64;
             if self.cfg.in_order {
                 // Blocking loads: an outstanding load miss stalls issue
                 // entirely (no miss-under-miss).
                 if !self.in_flight_loads.is_empty() {
                     break;
                 }
-                // Strict program-order issue: the heap yields the oldest
+                // Strict program-order issue: the scan yields the oldest
                 // *eligible* entry, but an in-order core may not slip past
                 // an older instruction that has not issued yet.
                 if seq != self.inorder_next {
                     break;
                 }
             }
-            self.ready.pop();
-            let idx = self.rob_index(seq).expect("ready entry is in the window");
             let (op, addr) = {
                 let e = &self.rob[idx];
                 debug_assert_eq!(e.stage, Stage::Waiting, "ready entries are waiting");
@@ -537,8 +652,7 @@ impl Core {
                                 // (The line was allocated; treat as a hit
                                 // next time — minor inaccuracy, bounded by
                                 // MSHR stalls being rare.) Stays eligible:
-                                // back into `ready` for the next cycle.
-                                retry.push(seq);
+                                // the entry keeps its ready bit.
                                 continue;
                             }
                             if let Some(v) = victim {
@@ -592,11 +706,12 @@ impl Core {
                     }
                 }
             };
+            self.sched.clear_ready(seq);
             self.rob[idx].stage = new_stage;
             // The entry's completion cycle is now known (unless it went to
             // memory, where the fill completion wakes dependents instead).
             if let Stage::Executing { done_cycle } = new_stage {
-                self.wake_dependents(seq, done_cycle);
+                self.sched.wake(seq, done_cycle);
             }
             if op.is_memory() {
                 self.stats.l1d_accesses += 1;
@@ -606,10 +721,6 @@ impl Core {
             }
             issued += 1;
         }
-        for seq in retry.drain(..) {
-            self.ready.push(Reverse(seq));
-        }
-        self.retry_buf = retry;
         // Retire background store fills.
         let mut freed = 0u32;
         self.pending_stores.retain(|&t| {
@@ -647,14 +758,19 @@ impl Core {
                 break;
             }
             let instr = stream.next_instr();
-            // Instruction fetch: touch the L1-I at line granularity.
+            // Instruction fetch: touch the L1-I at line granularity (a
+            // repeat of the previous fetch's line is a hit; see
+            // `last_iline`).
             let iline = SetAssocArray::<()>::align(instr.pc);
-            if let AccessOutcome::Miss { .. } = self.l1i.access(iline, false) {
-                self.stats.l1i_misses += 1;
-                let t = mem.submit(self.id, iline, MemRequestKind::IFetch, now_ps);
-                self.ifetch_miss = Some(t);
-                // The missing instruction still dispatches (it is in the
-                // fetch group that triggered the fill).
+            if iline != self.last_iline {
+                self.last_iline = iline;
+                if let AccessOutcome::Miss { .. } = self.l1i.access(iline, false) {
+                    self.stats.l1i_misses += 1;
+                    let t = mem.submit(self.id, iline, MemRequestKind::IFetch, now_ps);
+                    self.ifetch_miss = Some(t);
+                    // The missing instruction still dispatches (it is in
+                    // the fetch group that triggered the fill).
+                }
             }
             let seq = self.next_seq;
             self.next_seq += 1;
@@ -691,17 +807,14 @@ impl Core {
             // completion cycle when it is known, and via the producer's
             // wake list otherwise.
             match dep_seq {
-                None => self.ready.push(Reverse(seq)),
+                None => self.sched.set_ready(seq),
                 Some(d) => match self.rob_entry(d).map(|p| p.stage) {
-                    None => self.ready.push(Reverse(seq)),
+                    None => self.sched.set_ready(seq),
                     Some(Stage::Done { done_cycle }) | Some(Stage::Executing { done_cycle }) => {
-                        self.future.push(Reverse((done_cycle, seq)));
+                        self.sched.defer(seq, done_cycle);
                     }
                     Some(Stage::Waiting) | Some(Stage::Memory { .. }) => {
-                        self.wake
-                            .entry(d)
-                            .or_insert_with(|| self.wake_pool.pop().unwrap_or_default())
-                            .push(seq);
+                        self.sched.wait_on(d, seq);
                     }
                 },
             }
@@ -750,6 +863,42 @@ mod tests {
             mem.tick(now + period);
         }
         core.stats().clone()
+    }
+
+    #[test]
+    fn ready_scan_follows_sequence_order_across_the_ring_wrap() {
+        // 12 entries → 16 slots; a window of 10 starting at seq 30 (slot
+        // 14) wraps to slot 7.
+        let mut sched = IssueSched::new(12);
+        for seq in [39, 31, 34] {
+            sched.set_ready(seq);
+        }
+        let (head, len) = (30, 10);
+        assert_eq!(sched.next_ready(head, 0, len), Some(1));
+        assert_eq!(sched.next_ready(head, 2, len), Some(4));
+        assert_eq!(sched.next_ready(head, 5, len), Some(9));
+        // The scan ends with the window: seq 31, passed over but still
+        // ready, sits further round the ring and is not revisited.
+        sched.clear_ready(39);
+        assert_eq!(sched.next_ready(head, 5, len), None);
+    }
+
+    #[test]
+    fn woken_consumers_become_ready_at_the_producer_cycle() {
+        let mut sched = IssueSched::new(8);
+        sched.wait_on(3, 4);
+        sched.wait_on(3, 6);
+        sched.defer(5, 12);
+        sched.wake(3, 10);
+        sched.drain_due(9);
+        assert_eq!(sched.next_ready(3, 0, 4), None);
+        sched.drain_due(10);
+        assert_eq!(sched.next_ready(3, 0, 4), Some(1));
+        assert_eq!(sched.next_ready(3, 2, 4), Some(3));
+        assert_eq!(sched.future_min, 12);
+        sched.drain_due(12);
+        assert_eq!(sched.next_ready(3, 2, 4), Some(2));
+        assert_eq!(sched.future_min, u64::MAX);
     }
 
     #[test]

@@ -24,7 +24,8 @@ use std::sync::{Arc, Mutex};
 /// barrier replay).
 pub type SharedDram = Arc<Mutex<DramSystem>>;
 
-/// Ticket identifying an outstanding memory request.
+/// Ticket identifying an outstanding memory request: an index into the
+/// uncore's request slab, reused once [`MemorySystem::poll`] retires it.
 pub type MemTicket = u64;
 
 /// Why a request entered the memory system (for statistics).
@@ -46,11 +47,8 @@ enum ReqState {
     InDram,
     /// Done at the given picosecond.
     Done(u64),
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Request {
-    state: ReqState,
+    /// Retired by [`MemorySystem::poll`]; the slot awaits reuse.
+    Free,
 }
 
 /// One DRAM operation a *detached* cluster recorded instead of applying
@@ -96,11 +94,14 @@ pub struct MemorySystem {
     /// This cluster's owner id on the shared DRAM.
     dram_owner: u32,
     xbar_return_ps: u64,
-    requests: FxHashMap<MemTicket, Request>,
+    /// Request slab, indexed by ticket. A slot joins `free_tickets` only
+    /// when `poll` retires it, so a ticket a caller still holds is never
+    /// reissued.
+    requests: Vec<ReqState>,
+    free_tickets: Vec<MemTicket>,
     /// Outstanding line fills: later requests to the same line merge.
     by_line: FxHashMap<u64, Vec<MemTicket>>,
     dram_to_line: FxHashMap<DramTicket, u64>,
-    next_ticket: MemTicket,
     prefetches: u64,
     /// Reused per-tick DRAM completion buffer (allocation-free drain).
     completion_buf: Vec<(DramTicket, u64)>,
@@ -134,10 +135,10 @@ impl MemorySystem {
             dram,
             dram_owner,
             xbar_return_ps: cluster.xbar.traversal_ps,
-            requests: FxHashMap::default(),
+            requests: Vec::new(),
+            free_tickets: Vec::new(),
             by_line: FxHashMap::default(),
             dram_to_line: FxHashMap::default(),
-            next_ticket: 1,
             prefetches: 0,
             completion_buf: Vec::new(),
             waiter_pool: Vec::new(),
@@ -235,6 +236,20 @@ impl MemorySystem {
         self.waiter_pool.pop().unwrap_or_default()
     }
 
+    /// Allocates a ticket in `state`, reusing a retired slot if any.
+    fn new_ticket(&mut self, state: ReqState) -> MemTicket {
+        match self.free_tickets.pop() {
+            Some(t) => {
+                self.requests[t as usize] = state;
+                t
+            }
+            None => {
+                self.requests.push(state);
+                self.requests.len() as MemTicket - 1
+            }
+        }
+    }
+
     /// Submits an L1 miss for `core` at absolute time `now_ps`.
     ///
     /// Returns a ticket to poll with [`MemorySystem::poll`]. Requests to a
@@ -247,18 +262,11 @@ impl MemorySystem {
         now_ps: u64,
     ) -> MemTicket {
         let line_addr = SetAssocArray::<()>::align(line_addr);
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
+        let ticket = self.new_ticket(ReqState::InDram);
 
         // MSHR merge: the line is already on its way.
         if let Some(waiters) = self.by_line.get_mut(&line_addr) {
             waiters.push(ticket);
-            self.requests.insert(
-                ticket,
-                Request {
-                    state: ReqState::InDram,
-                },
-            );
             return ticket;
         }
 
@@ -269,16 +277,14 @@ impl MemorySystem {
         if let Some(victim) = access.writeback {
             self.dram_write(victim, access.ready_ps, key, false);
         }
-        let state = if access.hit {
-            ReqState::Done(access.ready_ps + self.xbar_return_ps)
+        if access.hit {
+            self.requests[ticket as usize] = ReqState::Done(access.ready_ps + self.xbar_return_ps);
         } else {
             self.dram_read(line_addr, access.ready_ps, key);
             let mut waiters = self.new_waiters();
             waiters.push(ticket);
             self.by_line.insert(line_addr, waiters);
-            ReqState::InDram
-        };
-        self.requests.insert(ticket, Request { state });
+        }
         ticket
     }
 
@@ -379,9 +385,7 @@ impl MemorySystem {
             let done = done_ps + self.xbar_return_ps;
             if let Some(mut waiters) = self.by_line.remove(&line) {
                 for &t in &waiters {
-                    if let Some(r) = self.requests.get_mut(&t) {
-                        r.state = ReqState::Done(done);
-                    }
+                    self.requests[t as usize] = ReqState::Done(done);
                 }
                 waiters.clear();
                 self.waiter_pool.push(waiters);
@@ -393,12 +397,11 @@ impl MemorySystem {
     /// Polls a ticket: `Some(done_ps)` once the data is back at the core
     /// and `now_ps >= done_ps`. Completed tickets are retired on return.
     pub fn poll(&mut self, ticket: MemTicket, now_ps: u64) -> Option<u64> {
-        match self.requests.get(&ticket) {
-            Some(Request {
-                state: ReqState::Done(d),
-            }) if *d <= now_ps => {
-                let d = *d;
-                self.requests.remove(&ticket);
+        let slot = &mut self.requests[ticket as usize];
+        match *slot {
+            ReqState::Done(d) if d <= now_ps => {
+                *slot = ReqState::Free;
+                self.free_tickets.push(ticket);
                 Some(d)
             }
             _ => None,
@@ -412,10 +415,8 @@ impl MemorySystem {
     /// This is the cycle-skip probe's view of a ticket; unlike
     /// [`MemorySystem::poll`] it never mutates state.
     pub fn ticket_done_ps(&self, ticket: MemTicket) -> Option<u64> {
-        match self.requests.get(&ticket) {
-            Some(Request {
-                state: ReqState::Done(d),
-            }) => Some(*d),
+        match self.requests[ticket as usize] {
+            ReqState::Done(d) => Some(d),
             _ => None,
         }
     }
@@ -536,7 +537,7 @@ impl MemorySystem {
 
     /// Outstanding request count (diagnostics).
     pub fn outstanding(&self) -> usize {
-        self.requests.len()
+        self.requests.len() - self.free_tickets.len()
     }
 
     /// Prefetches issued so far.

@@ -63,6 +63,13 @@ pub struct ProfileStream {
     /// Whether the previous instruction was a load (consumer chaining).
     prev_was_load: bool,
     count: u64,
+    /// Per-instruction probability of entering an OS burst, `None` when
+    /// the profile has no OS time.
+    os_entry: Option<f64>,
+    /// Cumulative op-mix thresholds: load, store, branch, FP.
+    mix: [f64; 4],
+    /// Largest dependency distance drawn.
+    dep_hi: u16,
 }
 
 impl ProfileStream {
@@ -71,6 +78,14 @@ impl ProfileStream {
     pub fn new(profile: WorkloadProfile, seed: u64) -> Self {
         profile.validate();
         let slot = seed % 64;
+        // Bursts of OS_BURST instructions entered with this probability
+        // make the long-run OS fraction match the profile.
+        let os = profile.os_fraction;
+        let os_entry = (os > 0.0).then(|| (os / OS_BURST as f64 / (1.0 - os).max(1e-9)).min(1.0));
+        let store = profile.loads + profile.stores;
+        let branch = store + profile.branches;
+        let mix = [profile.loads, store, branch, branch + profile.fp];
+        let dep_hi = (profile.dep_dist_mean * 2.0).max(2.0) as u16;
         ProfileStream {
             rng: SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC0FFEE),
             hot_base: HOT_DATA_BASE + slot * HOT_BYTES,
@@ -83,6 +98,9 @@ impl ProfileStream {
             os_left: 0,
             prev_was_load: false,
             count: 0,
+            os_entry,
+            mix,
+            dep_hi,
             profile,
         }
     }
@@ -140,8 +158,7 @@ impl ProfileStream {
             return 1;
         }
         if self.rng.gen_bool(0.7) {
-            let hi = (self.profile.dep_dist_mean * 2.0).max(2.0) as u16;
-            self.rng.gen_range(1..=hi)
+            self.rng.gen_range(1..=self.dep_hi)
         } else {
             0
         }
@@ -157,30 +174,25 @@ impl InstructionStream for ProfileStream {
         let is_user = if self.os_left > 0 {
             self.os_left -= 1;
             false
+        } else if self.os_entry.is_some_and(|p| self.rng.gen_bool(p)) {
+            self.os_left = OS_BURST - 1;
+            false
         } else {
-            let p = self.profile.os_fraction
-                / OS_BURST as f64
-                / (1.0 - self.profile.os_fraction).max(1e-9);
-            if self.profile.os_fraction > 0.0 && self.rng.gen_bool(p.min(1.0)) {
-                self.os_left = OS_BURST - 1;
-                false
-            } else {
-                true
-            }
+            true
         };
 
         let pc = self.next_pc();
         let u: f64 = self.rng.gen();
-        let p = &self.profile;
-        let op = if u < p.loads {
+        let [load, store, branch, fp] = self.mix;
+        let op = if u < load {
             OpClass::Load
-        } else if u < p.loads + p.stores {
+        } else if u < store {
             OpClass::Store
-        } else if u < p.loads + p.stores + p.branches {
+        } else if u < branch {
             OpClass::Branch {
-                mispredicted: self.rng.gen_bool(p.branch_mispredict),
+                mispredicted: self.rng.gen_bool(self.profile.branch_mispredict),
             }
-        } else if u < p.loads + p.stores + p.branches + p.fp {
+        } else if u < fp {
             OpClass::Fp
         } else {
             OpClass::IntAlu
