@@ -67,8 +67,9 @@ impl<S: InstructionStream> ClusterSim<S> {
         if let Err(e) = config.validate() {
             panic!("invalid simulator configuration: {e}");
         }
-        // The uncore's large arrays (LLC tags, DRAM banks) are allocated
-        // first, ahead of the cores' small per-core buffers.
+        // The LLC tag array, a point's one large block, is allocated before
+        // the cores' buffers so it can reuse the hole the previous point's
+        // array left in this thread's malloc arena (peak RSS; see DESIGN.md).
         let mem = MemorySystem::new(&config);
         let cores = (0..config.cores)
             .map(|i| Core::new(i, config.core))

@@ -880,8 +880,8 @@ mod tests {
 
     #[test]
     fn validate_rejects_zero_way_caches() {
-        // Public fields bypass `CacheConfig::new`; zero ways used to reach
-        // a division by zero in `CacheConfig::sets`.
+        // Public fields bypass `CacheConfig::new`, and `CacheConfig::sets`
+        // divides by the way count.
         let mut c = SimConfig::paper_cluster(1000.0);
         c.core.l1d.ways = 0;
         assert_eq!(

@@ -78,8 +78,6 @@ impl ProfileStream {
     pub fn new(profile: WorkloadProfile, seed: u64) -> Self {
         profile.validate();
         let slot = seed % 64;
-        // Bursts of OS_BURST instructions entered with this probability
-        // make the long-run OS fraction match the profile.
         let os = profile.os_fraction;
         let os_entry = (os > 0.0).then(|| (os / OS_BURST as f64 / (1.0 - os).max(1e-9)).min(1.0));
         let store = profile.loads + profile.stores;
