@@ -7,7 +7,6 @@
 
 use crate::config::CacheConfig;
 use crate::LINE_BYTES;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of a cache lookup-with-allocate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,22 +32,28 @@ pub struct EvictedLine<P> {
     pub payload: P,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Way<P> {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// Monotone timestamp of last touch (for LRU).
-    lru: u64,
-    payload: P,
-}
+/// The tag of an invalid way. A real tag is a line number shifted right by
+/// the set bits, so it is at most `u64::MAX >> 6` and never this value.
+const INVALID: u64 = u64::MAX;
 
 /// A set-associative array with per-line payloads.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Way `w` of set `s` is index `s * ways + w` of four parallel arrays:
+/// tags, LRU stamps, dirty flags and payloads. A lookup scans only the
+/// tags, and no array of the paper's 4 MB LLC exceeds 512 KB.
+#[derive(Debug, Clone)]
 pub struct SetAssocArray<P> {
-    sets: u64,
-    ways: u32,
-    lines: Vec<Way<P>>,
+    ways: usize,
+    set_bits: u32,
+    set_mask: u64,
+    /// Tag per way, [`INVALID`] for an empty way.
+    tags: Vec<u64>,
+    /// Time of each way's last touch; 0 for an invalid way, so the first
+    /// smallest stamp of a set is its first invalid way if it has one, else
+    /// its least recently used line (valid stamps start at 1).
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
+    payloads: Vec<P>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -56,39 +61,53 @@ pub struct SetAssocArray<P> {
 
 impl<P: Default + Copy> SetAssocArray<P> {
     /// Builds an empty array with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the set count is not a power of two
+    /// ([`CacheConfig::new`] and the simulator's configuration checks
+    /// reject such geometries first).
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
+        assert!(
+            sets.is_power_of_two(),
+            "cache must have a power-of-two number of sets, got {sets}"
+        );
         let total = (sets * u64::from(config.ways)) as usize;
         SetAssocArray {
-            sets,
-            ways: config.ways,
-            lines: vec![
-                Way {
-                    tag: 0,
-                    valid: false,
-                    dirty: false,
-                    lru: 0,
-                    payload: P::default(),
-                };
-                total
-            ],
+            ways: config.ways as usize,
+            set_bits: sets.trailing_zeros(),
+            set_mask: sets - 1,
+            tags: vec![INVALID; total],
+            stamps: vec![0; total],
+            dirty: vec![false; total],
+            payloads: vec![P::default(); total],
             tick: 0,
             hits: 0,
             misses: 0,
         }
     }
 
-    fn set_of(&self, line_addr: u64) -> u64 {
-        (line_addr / LINE_BYTES) % self.sets
+    /// The set and tag of `line_addr`.
+    fn locate(&self, line_addr: u64) -> (u64, u64) {
+        let line = line_addr / LINE_BYTES;
+        (line & self.set_mask, line >> self.set_bits)
     }
 
-    fn tag_of(&self, line_addr: u64) -> u64 {
-        (line_addr / LINE_BYTES) / self.sets
+    /// The ways of `set`, as a range of indexes into the arrays.
+    fn ways_of(&self, set: u64) -> std::ops::Range<usize> {
+        let base = set as usize * self.ways;
+        base..base + self.ways
     }
 
-    fn range(&self, set: u64) -> std::ops::Range<usize> {
-        let start = (set * u64::from(self.ways)) as usize;
-        start..start + self.ways as usize
+    /// The way holding `tag` in `set`.
+    fn find(&self, set: u64, tag: u64) -> Option<usize> {
+        let ways = self.ways_of(set);
+        let base = ways.start;
+        self.tags[ways]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|w| base + w)
     }
 
     /// Aligns an address down to its line.
@@ -98,107 +117,65 @@ impl<P: Default + Copy> SetAssocArray<P> {
 
     /// Looks up a line without allocating or touching LRU state.
     pub fn probe(&self, line_addr: u64) -> bool {
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        self.lines[self.range(set)]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        let (set, tag) = self.locate(line_addr);
+        self.find(set, tag).is_some()
     }
 
     /// Looks up a line, allocating it on a miss (LRU victim) and updating
     /// recency. `write` marks the line dirty.
     pub fn access(&mut self, line_addr: u64, write: bool) -> AccessOutcome<P> {
-        self.tick += 1;
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        let range = self.range(set);
-        let tick = self.tick;
-        let sets = self.sets;
+        self.access_way(line_addr, write).0
+    }
 
-        // Hit path.
-        if let Some(w) = self.lines[range.clone()]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-        {
-            w.lru = tick;
-            if write {
-                w.dirty = true;
-            }
+    /// [`SetAssocArray::access`], also lending the payload of the way the
+    /// line hit or was filled into (`P::default()` after a fill), so a
+    /// caller that tracks per-line state needs no second lookup.
+    pub fn access_way(&mut self, line_addr: u64, write: bool) -> (AccessOutcome<P>, &mut P) {
+        self.tick += 1;
+        let (set, tag) = self.locate(line_addr);
+        if let Some(w) = self.find(set, tag) {
+            self.stamps[w] = self.tick;
+            self.dirty[w] |= write;
             self.hits += 1;
-            return AccessOutcome::Hit;
+            return (AccessOutcome::Hit, &mut self.payloads[w]);
         }
 
         self.misses += 1;
-        // Miss: pick an invalid way, else the LRU way.
-        let ways = &mut self.lines[range];
-        let victim_idx = ways.iter().position(|w| !w.valid).unwrap_or_else(|| {
-            ways.iter()
+        // The first smallest stamp: the first invalid way, else the LRU way.
+        let ways = self.ways_of(set);
+        let base = ways.start;
+        let w = base
+            + self.stamps[ways]
+                .iter()
                 .enumerate()
-                .min_by_key(|(_, w)| w.lru)
+                .min_by_key(|&(_, &stamp)| stamp)
                 .map(|(i, _)| i)
-                .expect("associativity is at least 1")
+                .expect("associativity is at least 1");
+        let victim = (self.tags[w] != INVALID).then(|| EvictedLine {
+            line_addr: ((self.tags[w] << self.set_bits) | set) * LINE_BYTES,
+            dirty: self.dirty[w],
+            payload: self.payloads[w],
         });
-        let w = &mut ways[victim_idx];
-        let victim = if w.valid {
-            Some(EvictedLine {
-                line_addr: (w.tag * sets + set) * LINE_BYTES,
-                dirty: w.dirty,
-                payload: w.payload,
-            })
-        } else {
-            None
-        };
-        *w = Way {
-            tag,
-            valid: true,
-            dirty: write,
-            lru: tick,
-            payload: P::default(),
-        };
-        AccessOutcome::Miss { victim }
-    }
-
-    /// Mutable access to a line's payload, if present.
-    pub fn payload_mut(&mut self, line_addr: u64) -> Option<&mut P> {
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        let range = self.range(set);
-        self.lines[range]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-            .map(|w| &mut w.payload)
-    }
-
-    /// Shared access to a line's payload, if present.
-    pub fn payload(&self, line_addr: u64) -> Option<&P> {
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        self.lines[self.range(set)]
-            .iter()
-            .find(|w| w.valid && w.tag == tag)
-            .map(|w| &w.payload)
+        self.tags[w] = tag;
+        self.stamps[w] = self.tick;
+        self.dirty[w] = write;
+        self.payloads[w] = P::default();
+        (AccessOutcome::Miss { victim }, &mut self.payloads[w])
     }
 
     /// Invalidates a line (coherence). Returns whether it was present and
     /// dirty.
     pub fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
-        let set = self.set_of(line_addr);
-        let tag = self.tag_of(line_addr);
-        let range = self.range(set);
-        self.lines[range]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-            .map(|w| {
-                w.valid = false;
-                let dirty = w.dirty;
-                w.dirty = false;
-                dirty
-            })
+        let (set, tag) = self.locate(line_addr);
+        let w = self.find(set, tag)?;
+        self.tags[w] = INVALID;
+        self.stamps[w] = 0;
+        Some(std::mem::take(&mut self.dirty[w]))
     }
 
     /// Number of valid lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.lines.iter().filter(|w| w.valid).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 
     /// Lifetime hit count.
@@ -280,14 +257,21 @@ mod tests {
     #[test]
     fn payloads_live_with_lines() {
         let mut c: SetAssocArray<u32> = SetAssocArray::new(CacheConfig::new(512, 2));
-        c.access(0, false);
-        *c.payload_mut(0).unwrap() = 7;
-        assert_eq!(c.payload(0), Some(&7));
-        // Eviction resets the payload for the new occupant.
+        let (_, p) = c.access_way(0, false);
+        assert_eq!(*p, 0, "a fill starts from the default payload");
+        *p = 7;
+        assert_eq!(*c.access_way(0, false).1, 7);
+        // 256 fills set 0's other way; 512 then evicts 0 with its payload,
+        // and the new occupant starts from the default again.
         c.access(256, false);
-        c.access(512, false);
-        c.access(768, false);
-        assert!(c.payload(0).is_none() || c.payload(0) == Some(&7));
+        c.access(256, false);
+        match c.access_way(512, false) {
+            (AccessOutcome::Miss { victim: Some(v) }, p) => {
+                assert_eq!((v.line_addr, v.payload), (0, 7));
+                assert_eq!(*p, 0);
+            }
+            other => panic!("expected eviction of line 0, got {other:?}"),
+        }
     }
 
     #[test]

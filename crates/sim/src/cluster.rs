@@ -67,9 +67,11 @@ impl<S: InstructionStream> ClusterSim<S> {
         if let Err(e) = config.validate() {
             panic!("invalid simulator configuration: {e}");
         }
-        // The LLC tag array, a point's one large block, is allocated before
-        // the cores' buffers so it can reuse the hole the previous point's
-        // array left in this thread's malloc arena (peak RSS; see DESIGN.md).
+        // The LLC's tag and stamp arrays (512 KB each for the paper's 4 MB
+        // LLC) are a point's largest blocks. They are allocated before the
+        // cores' buffers so they can reuse the space the previous point's
+        // arrays left in this thread's malloc arena. Peak RSS follows the
+        // largest block size (see DESIGN.md "Allocation order").
         let mem = MemorySystem::new(&config);
         let cores = (0..config.cores)
             .map(|i| Core::new(i, config.core))

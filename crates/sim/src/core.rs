@@ -46,7 +46,6 @@ enum Stage {
 
 #[derive(Debug, Clone, Copy)]
 struct RobEntry {
-    seq: u64,
     op: OpClass,
     addr: u64,
     dep_seq: Option<u64>,
@@ -60,10 +59,13 @@ const NO_SLOT: u32 = u32::MAX;
 /// No instruction line fetched since the last L1-I install.
 const NO_LINE: u64 = u64::MAX;
 
+/// Cycles the issue scheduler's timing wheel spans, one bucket each.
+const WHEEL: u64 = 64;
+
 /// Per-slot scheduler state (see [`IssueSched`]).
 #[derive(Debug, Clone, Copy)]
 struct SlotSched {
-    /// Cycle from which a deferred entry becomes issue-eligible.
+    /// Cycle from which an entry parked in `far` becomes issue-eligible.
     eligible: u64,
     /// First consumer waiting on this slot's result, or [`NO_SLOT`].
     wake_head: u32,
@@ -79,17 +81,34 @@ struct SlotSched {
 /// in the window: waiting entries (which cannot commit), and producers
 /// with waiting consumers (which cannot commit before their completion
 /// cycle is known, the moment their wake list empties).
+///
+/// A waiting entry whose producer's completion cycle is known is deferred
+/// to that cycle on a timing wheel of [`WHEEL`] one-cycle buckets that
+/// spans `drained..drained + WHEEL`, where `drained` is the cycle of the
+/// last drain; entries due later wait in the `far` set. A drain moves the
+/// buckets of the elapsed cycles to `ready`, so no deferred entry is ever
+/// looked at before its cycle unless it sits in `far`, which is scanned
+/// only once its earliest entry is due.
 #[derive(Debug)]
 struct IssueSched {
     mask: u64,
+    /// Bitset words per slot set.
+    words: usize,
     /// Issue-eligible [`Stage::Waiting`] entries, one bit per slot.
     /// Scanning from the ROB head's slot visits them in sequence order.
     ready: Vec<u64>,
-    /// Waiting entries whose producer's completion cycle is known but may
-    /// still be ahead; eligible from their slot's `eligible` cycle.
-    future: Vec<u64>,
-    /// Earliest `eligible` cycle in `future` (`u64::MAX` when empty).
-    future_min: u64,
+    /// Bucket `c % WHEEL` (`words` words each) holds the entries eligible
+    /// from cycle `c`, for `c` in `drained..drained + WHEEL`.
+    wheel: Vec<u64>,
+    /// Which buckets are non-empty, one bit per bucket.
+    wheel_busy: u64,
+    /// Entries eligible after the wheel's span, each from its slot's
+    /// `eligible` cycle.
+    far: Vec<u64>,
+    /// Earliest `eligible` cycle in `far` (`u64::MAX` when empty).
+    far_min: u64,
+    /// The cycle of the last drain.
+    drained: u64,
     slots: Vec<SlotSched>,
 }
 
@@ -99,9 +118,13 @@ impl IssueSched {
         let words = slots.div_ceil(64);
         IssueSched {
             mask: slots as u64 - 1,
+            words,
             ready: vec![0; words],
-            future: vec![0; words],
-            future_min: u64::MAX,
+            wheel: vec![0; WHEEL as usize * words],
+            wheel_busy: 0,
+            far: vec![0; words],
+            far_min: u64::MAX,
+            drained: 0,
             slots: vec![
                 SlotSched {
                     eligible: 0,
@@ -128,10 +151,24 @@ impl IssueSched {
     }
 
     /// Makes the entry in slot `s` eligible from `cycle`.
+    ///
+    /// A cycle before the last drained one is past, so the entry is ready
+    /// at once. One deferred to the drained cycle itself (a zero-latency
+    /// result during that cycle's issue) waits in its bucket for the next
+    /// drain, so the issue pass in progress does not see it.
     fn defer_slot(&mut self, s: usize, cycle: u64) {
-        self.future[s >> 6] |= 1 << (s & 63);
-        self.slots[s].eligible = cycle;
-        self.future_min = self.future_min.min(cycle);
+        let (w, bit) = (s >> 6, 1 << (s & 63));
+        if cycle < self.drained {
+            self.ready[w] |= bit;
+        } else if cycle - self.drained < WHEEL {
+            let b = (cycle % WHEEL) as usize;
+            self.wheel[b * self.words + w] |= bit;
+            self.wheel_busy |= 1 << b;
+        } else {
+            self.far[w] |= bit;
+            self.slots[s].eligible = cycle;
+            self.far_min = self.far_min.min(cycle);
+        }
     }
 
     /// Makes `seq` eligible from `cycle` (its producer's completion).
@@ -160,29 +197,53 @@ impl IssueSched {
         }
     }
 
-    /// Moves every deferred entry eligible by `cycle` to `ready`. Issue
-    /// order comes from the sequence-order scan of `ready`, so the order
-    /// entries become ready in never matters.
+    /// Moves every deferred entry eligible by `cycle` to `ready`: the
+    /// buckets of cycles `drained..=cycle` (all of them after a jump of a
+    /// wheel's span or more), then `far` if its earliest entry is due.
+    /// Issue order comes from the sequence-order scan of `ready`, so the
+    /// order entries become ready in never matters.
     fn drain_due(&mut self, cycle: u64) {
-        if self.future_min > cycle {
-            return;
+        debug_assert!(cycle >= self.drained, "drains run in cycle order");
+        let elapsed = cycle - self.drained;
+        let due = if elapsed >= WHEEL - 1 {
+            u64::MAX
+        } else {
+            ((1u64 << (elapsed + 1)) - 1).rotate_left((self.drained % WHEEL) as u32)
+        };
+        let mut buckets = self.wheel_busy & due;
+        self.wheel_busy &= !due;
+        while buckets != 0 {
+            let b = buckets.trailing_zeros() as usize;
+            buckets &= buckets - 1;
+            let bucket = &mut self.wheel[b * self.words..(b + 1) * self.words];
+            for (r, w) in self.ready.iter_mut().zip(bucket) {
+                *r |= std::mem::take(w);
+            }
         }
-        let mut min = u64::MAX;
-        for w in 0..self.future.len() {
-            let mut bits = self.future[w];
+        self.drained = cycle;
+        if self.far_min <= cycle {
+            self.drain_far(cycle);
+        }
+    }
+
+    /// Moves the due entries of `far` to `ready` and those now within the
+    /// wheel's span to their buckets.
+    fn drain_far(&mut self, cycle: u64) {
+        self.far_min = u64::MAX;
+        for w in 0..self.words {
+            let mut bits = std::mem::take(&mut self.far[w]);
             while bits != 0 {
-                let b = bits.trailing_zeros();
+                let b = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let eligible = self.slots[w * 64 + b as usize].eligible;
+                let s = w * 64 + b;
+                let eligible = self.slots[s].eligible;
                 if eligible <= cycle {
-                    self.future[w] &= !(1 << b);
                     self.ready[w] |= 1 << b;
                 } else {
-                    min = min.min(eligible);
+                    self.defer_slot(s, eligible);
                 }
             }
         }
-        self.future_min = min;
     }
 
     /// The smallest window offset in `from..len` whose entry is ready,
@@ -210,7 +271,11 @@ pub struct Core {
     cfg: CoreConfig,
     l1i: SetAssocArray<()>,
     l1d: SetAssocArray<()>,
-    rob: std::collections::VecDeque<RobEntry>,
+    /// The reorder window: a ring indexed by the scheduler's slot of a
+    /// sequence number, holding `rob_head..next_seq`.
+    rob: Vec<RobEntry>,
+    /// Sequence number of the oldest in-window instruction.
+    rob_head: u64,
     /// Sequence number of the next fetched instruction.
     next_seq: u64,
     /// Fetch is stalled until this cycle (branch redirect).
@@ -246,12 +311,20 @@ pub struct Core {
 impl Core {
     /// Builds an idle core.
     pub fn new(id: u32, cfg: CoreConfig) -> Self {
+        let empty = RobEntry {
+            op: OpClass::IntAlu,
+            addr: 0,
+            dep_seq: None,
+            is_user: true,
+            stage: Stage::Waiting,
+        };
         Core {
             id,
             cfg,
             l1i: SetAssocArray::new(cfg.l1i),
             l1d: SetAssocArray::new(cfg.l1d),
-            rob: std::collections::VecDeque::with_capacity(cfg.rob_entries as usize),
+            rob: vec![empty; (cfg.rob_entries as usize).next_power_of_two()],
+            rob_head: 0,
             next_seq: 0,
             fetch_stall_until: 0,
             ifetch_miss: None,
@@ -325,29 +398,27 @@ impl Core {
 
     fn commit(&mut self, cycle: u64) {
         for _ in 0..self.cfg.width {
-            match self.rob.front() {
-                Some(e) => {
-                    // `Executing` commits one cycle after its `Done`
-                    // equivalent: the old per-cycle scan rewrote it to
-                    // `Done` *after* commit ran, so commit first saw the
-                    // result a cycle past `done_cycle`.
-                    let committable = match e.stage {
-                        Stage::Done { done_cycle } => done_cycle <= cycle,
-                        Stage::Executing { done_cycle } => done_cycle < cycle,
-                        _ => false,
-                    };
-                    if !committable {
-                        break;
-                    }
-                    let e = self.rob.pop_front().expect("front exists");
-                    if e.is_user {
-                        self.stats.user_instrs += 1;
-                    } else {
-                        self.stats.os_instrs += 1;
-                    }
-                }
-                None => break,
+            let Some(e) = self.rob_entry(self.rob_head) else {
+                break;
+            };
+            // `Executing` commits one cycle after its `Done` equivalent:
+            // the old per-cycle scan rewrote it to `Done` *after* commit
+            // ran, so commit first saw the result a cycle past
+            // `done_cycle`.
+            let committable = match e.stage {
+                Stage::Done { done_cycle } => done_cycle <= cycle,
+                Stage::Executing { done_cycle } => done_cycle < cycle,
+                _ => false,
+            };
+            if !committable {
+                break;
             }
+            if e.is_user {
+                self.stats.user_instrs += 1;
+            } else {
+                self.stats.os_instrs += 1;
+            }
+            self.rob_head += 1;
         }
     }
 
@@ -357,10 +428,9 @@ impl Core {
         if !self.in_flight_loads.is_empty() {
             let mut loads = std::mem::take(&mut self.in_flight_loads);
             loads.retain(|&seq| {
-                let Some(idx) = self.rob_index(seq) else {
+                let Some(e) = self.rob_entry_mut(seq) else {
                     return false;
                 };
-                let e = &mut self.rob[idx];
                 let Stage::Memory { ticket } = e.stage else {
                     return false;
                 };
@@ -399,7 +469,7 @@ impl Core {
     /// Instructions currently in the reorder window — a telemetry-probe
     /// diagnostic for how window-limited the workload's MLP is.
     pub fn rob_occupancy(&self) -> usize {
-        self.rob.len()
+        self.rob_len()
     }
 
     /// A cheap progress fingerprint: the sum of the monotonic work
@@ -445,7 +515,7 @@ impl Core {
         // First core cycle at which `mem.poll(t, cycle * period)` succeeds.
         let poll_cycle = |t: MemTicket| mem.ticket_done_ps(t).map(|done| done.div_ceil(period_ps));
         let mut next = u64::MAX;
-        let rob_full = self.rob.len() >= self.cfg.rob_entries as usize;
+        let rob_full = self.rob_len() >= self.cfg.rob_entries as usize;
         // An in-order core with a load miss in flight cannot issue anything
         // until the fill is polled — the window's waiting entries are inert
         // no matter when their producers complete (the queue movements the
@@ -472,7 +542,8 @@ impl Core {
             }
         }
 
-        for (idx, e) in self.rob.iter().enumerate() {
+        for (idx, seq) in (self.rob_head..self.next_seq).enumerate() {
+            let e = &self.rob[self.sched.slot(seq)];
             match e.stage {
                 Stage::Done { done_cycle } => {
                     // Only the head commits; a non-head Done entry is inert
@@ -546,7 +617,7 @@ impl Core {
     pub(crate) fn skip_to(&mut self, from: u64, to: u64) {
         if self.ifetch_miss.is_none()
             && self.redirect_on.is_none()
-            && self.rob.len() >= self.cfg.rob_entries as usize
+            && self.rob_len() >= self.cfg.rob_entries as usize
         {
             let start = from.max(self.fetch_stall_until);
             if to > start {
@@ -556,28 +627,27 @@ impl Core {
         self.stats.cycles = to;
     }
 
-    /// Finds an in-window entry by sequence number in O(1): the ROB holds
-    /// contiguous sequence numbers (fetch pushes `next_seq` increments,
-    /// commit pops the front), so `seq` indexes directly.
-    fn rob_entry(&self, seq: u64) -> Option<&RobEntry> {
-        let front = self.rob.front()?.seq;
-        let idx = seq.checked_sub(front)?;
-        let e = self.rob.get(idx as usize)?;
-        debug_assert_eq!(e.seq, seq, "ROB sequence numbers must be contiguous");
-        Some(e)
+    /// Instructions in the window.
+    fn rob_len(&self) -> usize {
+        (self.next_seq - self.rob_head) as usize
     }
 
-    /// Index of an in-window entry by sequence number (see
-    /// [`Core::rob_entry`]).
-    fn rob_index(&self, seq: u64) -> Option<usize> {
-        let front = self.rob.front()?.seq;
-        let idx = seq.checked_sub(front)? as usize;
-        if idx < self.rob.len() {
-            debug_assert_eq!(self.rob[idx].seq, seq, "ROB seqs must be contiguous");
-            Some(idx)
-        } else {
-            None
-        }
+    /// Whether `seq` is in the window, `rob_head..next_seq`.
+    fn in_window(&self, seq: u64) -> bool {
+        seq.wrapping_sub(self.rob_head) < self.next_seq - self.rob_head
+    }
+
+    /// Finds an in-window entry by sequence number: the window holds at
+    /// most `rob_entries` contiguous sequence numbers, so each has its own
+    /// ring slot.
+    fn rob_entry(&self, seq: u64) -> Option<&RobEntry> {
+        self.in_window(seq).then(|| &self.rob[self.sched.slot(seq)])
+    }
+
+    /// Mutable [`Core::rob_entry`].
+    fn rob_entry_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
+        let s = self.sched.slot(seq);
+        self.in_window(seq).then(|| &mut self.rob[s])
     }
 
     /// Issues up to `width` eligible instructions in sequence order.
@@ -598,8 +668,8 @@ impl Core {
         let core_id = self.id;
 
         let mut resolved_redirect: Option<u64> = None;
-        let head = self.rob.front().map_or(0, |e| e.seq);
-        let len = self.rob.len();
+        let head = self.rob_head;
+        let len = self.rob_len();
         let mut from = 0;
         while issued < width {
             let Some(idx) = self.sched.next_ready(head, from, len) else {
@@ -620,8 +690,9 @@ impl Core {
                     break;
                 }
             }
+            let slot = self.sched.slot(seq);
             let (op, addr) = {
-                let e = &self.rob[idx];
+                let e = &self.rob[slot];
                 debug_assert_eq!(e.stage, Stage::Waiting, "ready entries are waiting");
                 (e.op, e.addr)
             };
@@ -707,7 +778,7 @@ impl Core {
                 }
             };
             self.sched.clear_ready(seq);
-            self.rob[idx].stage = new_stage;
+            self.rob[slot].stage = new_stage;
             // The entry's completion cycle is now known (unless it went to
             // memory, where the fill completion wakes dependents instead).
             if let Stage::Executing { done_cycle } = new_stage {
@@ -753,7 +824,7 @@ impl Core {
             return;
         }
         for _ in 0..self.cfg.width {
-            if self.rob.len() >= self.cfg.rob_entries as usize {
+            if self.rob_len() >= self.cfg.rob_entries as usize {
                 self.stats.rob_full_cycles += 1;
                 break;
             }
@@ -773,7 +844,6 @@ impl Core {
                 }
             }
             let seq = self.next_seq;
-            self.next_seq += 1;
             let dep_seq = if instr.dep_dist > 0 {
                 seq.checked_sub(u64::from(instr.dep_dist))
             } else {
@@ -794,14 +864,14 @@ impl Core {
                 instr.op
             };
             let mispredicted = matches!(op, OpClass::Branch { mispredicted: true });
-            self.rob.push_back(RobEntry {
-                seq,
+            self.rob[self.sched.slot(seq)] = RobEntry {
                 op,
                 addr: instr.addr,
                 dep_seq,
                 is_user: instr.is_user,
                 stage: Stage::Waiting,
-            });
+            };
+            self.next_seq += 1;
             // Register for issue scheduling: eligible immediately when the
             // producer is absent or already committed, at the producer's
             // completion cycle when it is known, and via the producer's
@@ -835,7 +905,7 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::SimConfig;
+    use crate::config::{CoreConfig, SimConfig};
     use crate::instr::Instr;
 
     struct AluStream;
@@ -883,6 +953,27 @@ mod tests {
         assert_eq!(sched.next_ready(head, 5, len), None);
     }
 
+    /// Whether `seq` is ready, for a scheduler whose window covers
+    /// sequence numbers `0..128`.
+    fn is_ready(sched: &IssueSched, seq: u64) -> bool {
+        sched
+            .next_ready(0, seq as usize, seq as usize + 1)
+            .is_some()
+    }
+
+    /// Drains cycle by cycle up to `until`, asserting `seq` turns ready at
+    /// exactly `due` and not before.
+    fn assert_ready_at(sched: &mut IssueSched, seq: u64, due: u64, until: u64) {
+        for cycle in sched.drained + 1..=until {
+            sched.drain_due(cycle);
+            assert_eq!(
+                is_ready(sched, seq),
+                cycle >= due,
+                "seq {seq} at cycle {cycle}"
+            );
+        }
+    }
+
     #[test]
     fn woken_consumers_become_ready_at_the_producer_cycle() {
         let mut sched = IssueSched::new(8);
@@ -895,10 +986,104 @@ mod tests {
         sched.drain_due(10);
         assert_eq!(sched.next_ready(3, 0, 4), Some(1));
         assert_eq!(sched.next_ready(3, 2, 4), Some(3));
-        assert_eq!(sched.future_min, 12);
+        sched.drain_due(11);
+        assert_eq!(sched.next_ready(3, 2, 3), None);
         sched.drain_due(12);
         assert_eq!(sched.next_ready(3, 2, 4), Some(2));
-        assert_eq!(sched.future_min, u64::MAX);
+        assert_eq!(sched.wheel_busy, 0);
+    }
+
+    #[test]
+    fn an_entry_deferred_to_a_drained_cycle_is_ready_by_the_next_issue() {
+        let mut sched = IssueSched::new(128);
+        sched.drain_due(100);
+        // Before the drained cycle: ready at once.
+        sched.defer(1, 99);
+        assert!(is_ready(&sched, 1));
+        // The drained cycle itself (a zero-latency result during its
+        // issue): hidden from that issue pass, ready at the next drain.
+        sched.defer(2, 100);
+        assert!(!is_ready(&sched, 2));
+        sched.drain_due(101);
+        assert!(is_ready(&sched, 2));
+    }
+
+    #[test]
+    fn wheel_edge_and_far_entries_become_ready_at_their_own_cycle() {
+        let mut sched = IssueSched::new(128);
+        sched.drain_due(1_000);
+        sched.defer(1, 1_063); // the wheel's last bucket
+        sched.defer(2, 1_064); // exactly one span ahead: far
+        sched.defer(3, 1_300); // far, and still far after 2's scan
+        assert_eq!(sched.far_min, 1_064);
+        assert_ready_at(&mut sched, 1, 1_063, 1_063);
+        assert_ready_at(&mut sched, 2, 1_064, 1_064);
+        assert_eq!(sched.far_min, 1_300, "the far scan keeps 3");
+        assert_ready_at(&mut sched, 3, 1_300, 1_310);
+        assert_eq!((sched.wheel_busy, sched.far_min), (0, u64::MAX));
+    }
+
+    #[test]
+    fn far_entries_move_onto_the_wheel_when_a_scan_reaches_them() {
+        let mut sched = IssueSched::new(128);
+        sched.drain_due(10);
+        sched.defer(1, 80);
+        sched.defer(2, 100);
+        assert_ready_at(&mut sched, 1, 80, 80);
+        assert_eq!(sched.far_min, u64::MAX, "2 is within the span of 80");
+        assert_ready_at(&mut sched, 2, 100, 120);
+    }
+
+    #[test]
+    fn a_drain_after_a_long_jump_empties_every_due_bucket() {
+        let mut sched = IssueSched::new(128);
+        sched.drain_due(5);
+        for (seq, cycle) in [(1, 6), (2, 37), (3, 68), (4, 200), (5, 201)] {
+            sched.defer(seq, cycle);
+        }
+        // One drain spanning more than the wheel: everything due is ready
+        // and nothing early is.
+        sched.drain_due(200);
+        for seq in 1..=4 {
+            assert!(is_ready(&sched, seq), "seq {seq}");
+        }
+        assert!(!is_ready(&sched, 5));
+        assert_ready_at(&mut sched, 5, 201, 201);
+        // A jump shorter than the wheel drains only the elapsed buckets.
+        sched.defer(6, 210);
+        sched.defer(7, 230);
+        sched.drain_due(220);
+        assert!(is_ready(&sched, 6) && !is_ready(&sched, 7));
+        assert_ready_at(&mut sched, 7, 230, 240);
+    }
+
+    #[test]
+    fn ring_lookups_follow_the_window_across_the_wrap() {
+        let cfg = CoreConfig {
+            rob_entries: 12,
+            ..SimConfig::paper_cluster(1000.0).core
+        };
+        let mut mem = MemorySystem::new(&SimConfig::paper_cluster(1000.0));
+        let mut core = Core::new(0, cfg);
+        assert_eq!(core.rob.len(), 16);
+        // A serial chain keeps the 12-entry window full while the head
+        // walks round the 16-slot ring several times.
+        let mut stream = DepChainStream;
+        let period = 1_000;
+        for c in 0..200 {
+            core.tick(&mut stream, &mut mem, c, c * period, period);
+            mem.tick((c + 1) * period);
+            let (head, next) = (core.rob_head, core.next_seq);
+            assert!(next - head <= 12);
+            assert!(core.rob_entry(head.wrapping_sub(1)).is_none());
+            assert!(core.rob_entry(next).is_none());
+            for seq in head..next {
+                let e = core.rob_entry(seq).expect("in-window entry");
+                // Each entry depends on its predecessor.
+                assert_eq!(e.dep_seq, seq.checked_sub(1));
+            }
+        }
+        assert!(core.rob_head > 3 * 16, "the head wrapped the ring");
     }
 
     #[test]

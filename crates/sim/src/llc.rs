@@ -122,17 +122,13 @@ impl SharedLlc {
         self.bank_free_ps[bank] = ready;
 
         let me: SharerMask = 1 << core;
-        let outcome = self.array.access(line_addr, write);
+        let (outcome, sharers) = self.array.access_way(line_addr, write);
         let hit = matches!(outcome, AccessOutcome::Hit);
         let mut writeback = None;
 
         match outcome {
             AccessOutcome::Hit => {
                 self.stats.hits += 1;
-                let sharers = self
-                    .array
-                    .payload_mut(line_addr)
-                    .expect("line just accessed is present");
                 if write {
                     let others = *sharers & !me;
                     if others != 0 {
@@ -150,10 +146,7 @@ impl SharedLlc {
             }
             AccessOutcome::Miss { victim } => {
                 self.stats.misses += 1;
-                *self
-                    .array
-                    .payload_mut(line_addr)
-                    .expect("line just allocated is present") = me;
+                *sharers = me;
                 if let Some(EvictedLine {
                     line_addr: victim_addr,
                     dirty,
@@ -213,10 +206,7 @@ impl SharedLlc {
     /// cache warming (the paper launches simulations from checkpoints with
     /// warmed caches).
     pub fn install(&mut self, line_addr: u64, sharers: SharerMask) {
-        let _ = self.array.access(line_addr, false);
-        if let Some(p) = self.array.payload_mut(line_addr) {
-            *p = sharers;
-        }
+        *self.array.access_way(line_addr, false).1 = sharers;
         // Warming must not perturb measurements or pending work.
         self.stats = LlcStats::default();
         self.pending_invalidations.clear();

@@ -10,7 +10,7 @@
 use crate::profile::WorkloadProfile;
 use ntc_sim::{Instr, InstructionStream, OpClass};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Bytes of per-core hot data (comfortably L1-resident).
 pub const HOT_BYTES: u64 = 16 << 10;
@@ -40,6 +40,17 @@ const COLD_CODE_BURST: u64 = 16;
 /// Hot code loop size in lines (fits a 32 KB L1-I with room to spare).
 pub const HOT_CODE_LINES: u64 = 256;
 
+/// The integer form of a probability test.
+///
+/// `gen_bool(p)` and `gen::<f64>() < p` both take the draw
+/// `k = next_u64() >> 11` and compare `k · 2⁻⁵³` with `p`. That product is
+/// exact, so the test holds exactly when `k < p · 2⁵³` (also exact), and
+/// for an integer `k` exactly when `k < ceil(p · 2⁵³)`. The cast saturates,
+/// which keeps `p ≤ 0` (and NaN) never true and `p ≥ 1` always true.
+fn threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// Executable synthetic stream for one core.
 #[derive(Debug)]
 pub struct ProfileStream {
@@ -63,11 +74,19 @@ pub struct ProfileStream {
     /// Whether the previous instruction was a load (consumer chaining).
     prev_was_load: bool,
     count: u64,
-    /// Per-instruction probability of entering an OS burst, `None` when
-    /// the profile has no OS time.
-    os_entry: Option<f64>,
-    /// Cumulative op-mix thresholds: load, store, branch, FP.
-    mix: [f64; 4],
+    /// [`threshold`] of the per-instruction probability of entering an OS
+    /// burst, `None` when the profile has no OS time (and no draw is made).
+    os_entry: Option<u64>,
+    /// [`threshold`] of the cold-code burst rate.
+    code_cold: u64,
+    /// [`threshold`]s of the cumulative op mix: load, store, branch, FP.
+    mix: [u64; 4],
+    /// [`threshold`] of the branch misprediction rate.
+    mispredict: u64,
+    /// [`threshold`]s of the hot and hot + warm data fractions.
+    locality: [u64; 2],
+    /// [`threshold`] of the 0.7 dependency draws.
+    dep_draw: u64,
     /// Largest dependency distance drawn.
     dep_hi: u16,
 }
@@ -79,10 +98,13 @@ impl ProfileStream {
         profile.validate();
         let slot = seed % 64;
         let os = profile.os_fraction;
-        let os_entry = (os > 0.0).then(|| (os / OS_BURST as f64 / (1.0 - os).max(1e-9)).min(1.0));
+        let os_entry =
+            (os > 0.0).then(|| threshold((os / OS_BURST as f64 / (1.0 - os).max(1e-9)).min(1.0)));
         let store = profile.loads + profile.stores;
         let branch = store + profile.branches;
-        let mix = [profile.loads, store, branch, branch + profile.fp];
+        let mix = [profile.loads, store, branch, branch + profile.fp].map(threshold);
+        let hot = profile.hot_fraction;
+        let locality = [hot, hot + profile.warm_fraction].map(threshold);
         let dep_hi = (profile.dep_dist_mean * 2.0).max(2.0) as u16;
         ProfileStream {
             rng: SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC0FFEE),
@@ -97,7 +119,11 @@ impl ProfileStream {
             prev_was_load: false,
             count: 0,
             os_entry,
+            code_cold: threshold(profile.code_cold_rate),
             mix,
+            mispredict: threshold(profile.branch_mispredict),
+            locality,
+            dep_draw: threshold(0.7),
             dep_hi,
             profile,
         }
@@ -113,6 +139,12 @@ impl ProfileStream {
         HOT_DATA_BASE + (seed % 64) * HOT_BYTES
     }
 
+    /// The 53-bit draw behind `gen_bool` and `gen::<f64>()`, for comparing
+    /// with a [`threshold`].
+    fn draw(&mut self) -> u64 {
+        self.rng.next_u64() >> 11
+    }
+
     fn next_pc(&mut self) -> u64 {
         // Cold-code burst in progress: walk the cold line.
         if self.cold_code_left > 0 {
@@ -121,7 +153,7 @@ impl ProfileStream {
             return COLD_CODE_BASE + self.cold_code_line * 64 + offset;
         }
         // Enter a cold-code burst?
-        if self.rng.gen_bool(self.profile.code_cold_rate) {
+        if self.draw() < self.code_cold {
             let lines = self.profile.code_bytes / 64;
             self.cold_code_line = self.rng.gen_range(0..lines);
             self.cold_code_left = COLD_CODE_BURST - 1;
@@ -133,10 +165,11 @@ impl ProfileStream {
     }
 
     fn data_addr(&mut self) -> u64 {
-        let u: f64 = self.rng.gen();
-        if u < self.profile.hot_fraction {
+        let u = self.draw();
+        let [hot, warm] = self.locality;
+        if u < hot {
             self.hot_base + self.rng.gen_range(0..HOT_BYTES / 8) * 8
-        } else if u < self.profile.hot_fraction + self.profile.warm_fraction {
+        } else if u < warm {
             self.warm_base + self.rng.gen_range(0..self.profile.warm_bytes / 64) * 64
         } else if self.profile.cold_streaming {
             let addr = self.cold_base + self.cold_cursor;
@@ -152,10 +185,10 @@ impl ProfileStream {
         // pointer-rich, low-ILP character of server code. Otherwise ~70% of
         // instructions read a recent producer at a distance set by the
         // profile's ILP.
-        if self.prev_was_load && self.rng.gen_bool(0.7) {
+        if self.prev_was_load && self.draw() < self.dep_draw {
             return 1;
         }
-        if self.rng.gen_bool(0.7) {
+        if self.draw() < self.dep_draw {
             self.rng.gen_range(1..=self.dep_hi)
         } else {
             0
@@ -172,7 +205,7 @@ impl InstructionStream for ProfileStream {
         let is_user = if self.os_left > 0 {
             self.os_left -= 1;
             false
-        } else if self.os_entry.is_some_and(|p| self.rng.gen_bool(p)) {
+        } else if self.os_entry.is_some_and(|t| self.draw() < t) {
             self.os_left = OS_BURST - 1;
             false
         } else {
@@ -180,7 +213,7 @@ impl InstructionStream for ProfileStream {
         };
 
         let pc = self.next_pc();
-        let u: f64 = self.rng.gen();
+        let u = self.draw();
         let [load, store, branch, fp] = self.mix;
         let op = if u < load {
             OpClass::Load
@@ -188,7 +221,7 @@ impl InstructionStream for ProfileStream {
             OpClass::Store
         } else if u < branch {
             OpClass::Branch {
-                mispredicted: self.rng.gen_bool(self.profile.branch_mispredict),
+                mispredicted: self.draw() < self.mispredict,
             }
         } else if u < fp {
             OpClass::Fp
@@ -308,6 +341,25 @@ mod tests {
         let a = ProfileStream::new(p.clone(), 0);
         let b = ProfileStream::new(p, 1);
         assert_ne!(a.hot_base, b.hot_base);
+    }
+
+    #[test]
+    fn thresholds_decide_exactly_like_the_float_draws() {
+        let unit = |k: u64| k as f64 * (1.0 / (1u64 << 53) as f64);
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut probabilities = vec![0.0, -0.0, -0.5, 0.5, 0.7, 1.0, 1.5, f64::NAN, 1e-300];
+        probabilities.extend((0..2_000).map(|_| rng.gen::<f64>()));
+        for p in probabilities {
+            let t = threshold(p);
+            let near = [t.saturating_sub(1), t, t.saturating_add(1)];
+            let draws = [0, 1, (1 << 53) - 1]
+                .into_iter()
+                .chain(near)
+                .chain((0..16).map(|_| rng.next_u64() >> 11));
+            for k in draws.filter(|&k| k < 1 << 53) {
+                assert_eq!(k < t, unit(k) < p, "p = {p}, k = {k}");
+            }
+        }
     }
 
     #[test]

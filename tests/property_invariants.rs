@@ -1,7 +1,7 @@
 //! Property-based tests over the workspace's core invariants.
 
 use ntserver::power::{CoreActivity, CorePowerModel, DramPowerModel, DramTraffic};
-use ntserver::sim::cache::{AccessOutcome, SetAssocArray};
+use ntserver::sim::cache::{AccessOutcome, EvictedLine, SetAssocArray};
 use ntserver::sim::config::{CacheConfig, DramTimingConfig};
 use ntserver::sim::dram::DramSystem;
 use ntserver::tech::{
@@ -104,6 +104,47 @@ proptest! {
         }
     }
 
+    /// The split-array cache behaves exactly like a plain array-of-structs
+    /// LRU model: same hits, victims (line, dirty flag, payload), probes,
+    /// invalidations, occupancy and counters, for 1–16 ways and 1–64 sets.
+    #[test]
+    fn cache_matches_its_reference_model(
+        ways in 1u32..17,
+        set_bits in 0u32..7,
+        ops in prop::collection::vec(0u64..u64::MAX, 1..400),
+    ) {
+        let sets = 1u64 << set_bits;
+        let config = CacheConfig::new(sets * u64::from(ways) * 64, ways);
+        let mut cache: SetAssocArray<u32> = SetAssocArray::new(config);
+        let mut model = ModelCache::new(sets, ways as usize);
+        // Twice the capacity in lines, so sets fill and evict, plus the
+        // highest line in the address space (the largest tag).
+        let pool = 2 * sets * u64::from(ways) + 1;
+        for op in ops {
+            let index = (op >> 8) % pool;
+            let line = if index == pool - 1 { u64::MAX & !63 } else { index * 64 };
+            match op % 8 {
+                0..=5 => {
+                    let write = op % 8 >= 4;
+                    let (outcome, payload) = cache.access_way(line, write);
+                    let (expected, model_payload) = model.access(line, write);
+                    prop_assert_eq!(outcome, expected);
+                    prop_assert_eq!(*payload, *model_payload);
+                    // Odd draws also update the line's payload.
+                    if op & (1 << 63) != 0 {
+                        *payload = (op >> 32) as u32;
+                        *model_payload = (op >> 32) as u32;
+                    }
+                }
+                6 => prop_assert_eq!(cache.invalidate(line), model.invalidate(line)),
+                _ => prop_assert_eq!(cache.probe(line), model.probe(line)),
+            }
+            prop_assert_eq!(cache.probe(line), model.probe(line));
+            prop_assert_eq!(cache.resident_lines(), model.resident_lines());
+            prop_assert_eq!((cache.hits(), cache.misses()), (model.hits, model.misses));
+        }
+    }
+
     /// Every DRAM read completes, after its arrival, with at least the
     /// row-hit minimum latency, and statistics balance.
     #[test]
@@ -162,5 +203,107 @@ proptest! {
         prop_assert!((back.frequency.0 - op.frequency.0).abs() < 1e-9 * op.frequency.0);
         prop_assert!((back.vdd.0 - op.vdd.0).abs() < 1e-12);
         prop_assert_eq!(back.bias, op.bias);
+    }
+}
+
+/// One way of [`ModelCache`].
+#[derive(Debug, Clone, Copy, Default)]
+struct ModelWay {
+    valid: bool,
+    tag: u64,
+    dirty: bool,
+    stamp: u64,
+    payload: u32,
+}
+
+/// The reference LRU cache: one struct per way, sets and tags by division,
+/// victims by the first invalid way, else the first smallest stamp.
+struct ModelCache {
+    sets: u64,
+    ways: usize,
+    lines: Vec<ModelWay>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl ModelCache {
+    fn new(sets: u64, ways: usize) -> Self {
+        ModelCache {
+            sets,
+            ways,
+            lines: vec![ModelWay::default(); sets as usize * ways],
+            tick: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The set's first way index, and the tag.
+    fn locate(&self, line_addr: u64) -> (usize, u64) {
+        let line = line_addr / 64;
+        ((line % self.sets) as usize * self.ways, line / self.sets)
+    }
+
+    fn find(&self, line_addr: u64) -> Option<usize> {
+        let (base, tag) = self.locate(line_addr);
+        (base..base + self.ways).find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
+    }
+
+    fn access(&mut self, line_addr: u64, write: bool) -> (AccessOutcome<u32>, &mut u32) {
+        self.tick += 1;
+        if let Some(i) = self.find(line_addr) {
+            self.hits += 1;
+            let way = &mut self.lines[i];
+            way.stamp = self.tick;
+            way.dirty |= write;
+            return (AccessOutcome::Hit, &mut way.payload);
+        }
+        self.misses += 1;
+        let (base, tag) = self.locate(line_addr);
+        let set = (base / self.ways) as u64;
+        let victim = match (base..base + self.ways).find(|&i| !self.lines[i].valid) {
+            Some(i) => i,
+            None => {
+                let mut lru = base;
+                for i in base + 1..base + self.ways {
+                    if self.lines[i].stamp < self.lines[lru].stamp {
+                        lru = i;
+                    }
+                }
+                lru
+            }
+        };
+        let old = self.lines[victim];
+        let evicted = old.valid.then_some(EvictedLine {
+            line_addr: (old.tag * self.sets + set) * 64,
+            dirty: old.dirty,
+            payload: old.payload,
+        });
+        self.lines[victim] = ModelWay {
+            valid: true,
+            tag,
+            dirty: write,
+            stamp: self.tick,
+            payload: 0,
+        };
+        (
+            AccessOutcome::Miss { victim: evicted },
+            &mut self.lines[victim].payload,
+        )
+    }
+
+    fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
+        let i = self.find(line_addr)?;
+        self.lines[i].valid = false;
+        Some(std::mem::take(&mut self.lines[i].dirty))
+    }
+
+    fn probe(&self, line_addr: u64) -> bool {
+        self.find(line_addr).is_some()
+    }
+
+    fn resident_lines(&self) -> usize {
+        self.lines.iter().filter(|w| w.valid).count()
     }
 }
