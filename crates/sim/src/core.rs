@@ -1055,6 +1055,13 @@ mod tests {
         sched.drain_due(220);
         assert!(is_ready(&sched, 6) && !is_ready(&sched, 7));
         assert_ready_at(&mut sched, 7, 230, 240);
+        // A jump of exactly the wheel's span drains every bucket once.
+        sched.defer(8, 241);
+        sched.defer(9, 303);
+        sched.defer(10, 304);
+        sched.drain_due(303);
+        assert!(is_ready(&sched, 8) && is_ready(&sched, 9) && !is_ready(&sched, 10));
+        assert_ready_at(&mut sched, 10, 304, 304);
     }
 
     #[test]

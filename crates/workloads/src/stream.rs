@@ -348,7 +348,9 @@ mod tests {
         let unit = |k: u64| k as f64 * (1.0 / (1u64 << 53) as f64);
         let mut rng = SmallRng::seed_from_u64(5);
         let mut probabilities = vec![0.0, -0.0, -0.5, 0.5, 0.7, 1.0, 1.5, f64::NAN, 1e-300];
-        probabilities.extend((0..2_000).map(|_| rng.gen::<f64>()));
+        // Uniform draws are multiples of 2⁻⁵³; dividing them gives
+        // probabilities whose scaled value has a fraction to round up.
+        probabilities.extend((0..2_000).map(|i| rng.gen::<f64>() / f64::from(1 + i % 7)));
         for p in probabilities {
             let t = threshold(p);
             let near = [t.saturating_sub(1), t, t.saturating_add(1)];

@@ -122,7 +122,7 @@ proptest! {
         let pool = 2 * sets * u64::from(ways) + 1;
         for op in ops {
             let index = (op >> 8) % pool;
-            let line = if index == pool - 1 { u64::MAX & !63 } else { index * 64 };
+            let line = if index == pool - 1 { !63 } else { index * 64 };
             match op % 8 {
                 0..=5 => {
                     let write = op % 8 >= 4;
