@@ -275,6 +275,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "power-of-two number of sets")]
+    fn non_power_of_two_set_counts_are_rejected() {
+        let three_sets = CacheConfig {
+            size_bytes: 3 * 2 * 64,
+            ways: 2,
+        };
+        let _: SetAssocArray<()> = SetAssocArray::new(three_sets);
+    }
+
+    #[test]
     fn resident_count_tracks_capacity() {
         let mut c = tiny();
         for i in 0..64 {
