@@ -68,10 +68,12 @@ impl<S: InstructionStream> ClusterSim<S> {
             panic!("invalid simulator configuration: {e}");
         }
         // The LLC's tag and stamp arrays (512 KB each for the paper's 4 MB
-        // LLC) are a point's largest blocks. They are allocated before the
-        // cores' buffers so they can reuse the space the previous point's
-        // arrays left in this thread's malloc arena. Peak RSS follows the
-        // largest block size (see DESIGN.md "Allocation order").
+        // LLC) are a point's largest blocks, and peak RSS follows them.
+        // They are allocated before the cores' buffers so they can reuse
+        // the space the previous point's arrays left in this thread's
+        // malloc arena: cores first measured 9.6 MB of peak RSS on
+        // `figures-fast` against 7.9 MB on a 2-vCPU host (see DESIGN.md
+        // "Allocation order").
         let mem = MemorySystem::new(&config);
         let cores = (0..config.cores)
             .map(|i| Core::new(i, config.core))
