@@ -39,8 +39,9 @@ const INVALID: u64 = u64::MAX;
 /// A set-associative array with per-line payloads.
 ///
 /// Way `w` of set `s` is index `s * ways + w` of four parallel arrays:
-/// tags, LRU stamps, dirty flags and payloads. A lookup scans only the
-/// tags, and no array of the paper's 4 MB LLC exceeds 512 KB.
+/// tags, LRU stamps, dirty flags and payloads; each set also has a one-byte
+/// clock. A lookup scans only the tags, and no array of the paper's 4 MB
+/// LLC exceeds 512 KB.
 #[derive(Debug, Clone)]
 pub struct SetAssocArray<P> {
     ways: usize,
@@ -48,13 +49,16 @@ pub struct SetAssocArray<P> {
     set_mask: u64,
     /// Tag per way, [`INVALID`] for an empty way.
     tags: Vec<u64>,
-    /// Time of each way's last touch; 0 for an invalid way, so the first
-    /// smallest stamp of a set is its first invalid way if it has one, else
-    /// its least recently used line (valid stamps start at 1).
-    stamps: Vec<u64>,
+    /// Recency of each way within its set: 0 for an invalid way, and
+    /// distinct values from 1 up, rising with touch order, for valid ways.
+    /// So the first smallest stamp of a set is its first invalid way if it
+    /// has one, else its least recently used line.
+    stamps: Vec<u8>,
+    /// Per set, the last stamp handed out in it (at least every stamp the
+    /// set holds).
+    clocks: Vec<u8>,
     dirty: Vec<bool>,
     payloads: Vec<P>,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
@@ -64,10 +68,16 @@ impl<P: Default + Copy> SetAssocArray<P> {
     ///
     /// # Panics
     ///
-    /// Panics if the set count is not a power of two
-    /// ([`CacheConfig::new`] and the simulator's configuration checks
-    /// reject such geometries first).
+    /// Panics if the set count is not a power of two or the way count is
+    /// outside `1..=`[`CacheConfig::MAX_WAYS`] ([`CacheConfig::new`] and
+    /// the simulator's configuration checks reject such geometries first).
     pub fn new(config: CacheConfig) -> Self {
+        assert!(
+            (1..=CacheConfig::MAX_WAYS).contains(&config.ways),
+            "cache must have 1..={} ways, got {}",
+            CacheConfig::MAX_WAYS,
+            config.ways
+        );
         let sets = config.sets();
         assert!(
             sets.is_power_of_two(),
@@ -80,9 +90,9 @@ impl<P: Default + Copy> SetAssocArray<P> {
             set_mask: sets - 1,
             tags: vec![INVALID; total],
             stamps: vec![0; total],
+            clocks: vec![0; sets as usize],
             dirty: vec![false; total],
             payloads: vec![P::default(); total],
-            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -110,6 +120,43 @@ impl<P: Default + Copy> SetAssocArray<P> {
             .map(|w| base + w)
     }
 
+    /// Makes way `w` of `set` the set's most recently used line. A set whose
+    /// clock has no stamp left is renumbered first; it holds at most
+    /// [`CacheConfig::MAX_WAYS`] valid stamps, so the clock then has room.
+    fn touch(&mut self, set: u64, w: usize) {
+        let set = set as usize;
+        if self.clocks[set] == u8::MAX {
+            self.clocks[set] = self.renumber(set);
+        }
+        self.clocks[set] += 1;
+        self.stamps[w] = self.clocks[set];
+    }
+
+    /// Renumbers `set`'s valid stamps to `1..=n` in their current order,
+    /// leaving invalid ways at 0, and returns `n`. Victims depend only on
+    /// the order of stamps within a set, so this changes none.
+    fn renumber(&mut self, set: usize) -> u8 {
+        let ways = self.ways_of(set as u64);
+        let stamps = &mut self.stamps[ways];
+        // `rank[s]` becomes the new stamp of old stamp `s`.
+        let mut rank = [0u8; 256];
+        for &s in stamps.iter() {
+            rank[usize::from(s)] = 1;
+        }
+        rank[0] = 0; // invalid ways stay 0
+        let mut n = 0;
+        for r in &mut rank {
+            if *r != 0 {
+                n += 1;
+                *r = n;
+            }
+        }
+        for s in stamps.iter_mut() {
+            *s = rank[usize::from(*s)];
+        }
+        n
+    }
+
     /// Aligns an address down to its line.
     pub fn align(addr: u64) -> u64 {
         addr & !(LINE_BYTES - 1)
@@ -131,10 +178,9 @@ impl<P: Default + Copy> SetAssocArray<P> {
     /// line hit or was filled into (`P::default()` after a fill), so a
     /// caller that tracks per-line state needs no second lookup.
     pub fn access_way(&mut self, line_addr: u64, write: bool) -> (AccessOutcome<P>, &mut P) {
-        self.tick += 1;
         let (set, tag) = self.locate(line_addr);
         if let Some(w) = self.find(set, tag) {
-            self.stamps[w] = self.tick;
+            self.touch(set, w);
             self.dirty[w] |= write;
             self.hits += 1;
             return (AccessOutcome::Hit, &mut self.payloads[w]);
@@ -157,7 +203,7 @@ impl<P: Default + Copy> SetAssocArray<P> {
             payload: self.payloads[w],
         });
         self.tags[w] = tag;
-        self.stamps[w] = self.tick;
+        self.touch(set, w);
         self.dirty[w] = write;
         self.payloads[w] = P::default();
         (AccessOutcome::Miss { victim }, &mut self.payloads[w])
@@ -282,6 +328,53 @@ mod tests {
             ways: 2,
         };
         let _: SetAssocArray<()> = SetAssocArray::new(three_sets);
+    }
+
+    #[test]
+    fn renumbering_keeps_the_order_and_the_invalid_ways() {
+        // One set of 4 ways: every line maps to it.
+        let mut c: SetAssocArray<()> = SetAssocArray::new(CacheConfig::new(4 * 64, 4));
+        for line in [0, 64, 128, 192] {
+            c.access(line, false);
+        }
+        c.invalidate(64);
+        // Run the clock to its last stamp: 192 oldest, then 128, then 0.
+        while c.clocks[0] < u8::MAX - 2 {
+            c.access(192, false);
+        }
+        c.access(128, false);
+        c.access(0, false);
+        assert_eq!(
+            (c.stamps.as_slice(), c.clocks[0]),
+            (&[255, 0, 254, 253][..], 255)
+        );
+
+        // The next touch renumbers first: 192 → 1, 128 → 2, 0 → 3, and the
+        // invalid way stays 0; then 0 takes stamp 4.
+        c.access(0, false);
+        assert_eq!((c.stamps.as_slice(), c.clocks[0]), (&[4, 0, 2, 1][..], 4));
+        assert_eq!(c.renumber(0), 3);
+        assert_eq!(c.stamps, [3, 0, 2, 1]);
+
+        // Victims follow the renumbered order: the free way, then 192.
+        assert!(matches!(
+            c.access(256, false),
+            AccessOutcome::Miss { victim: None }
+        ));
+        match c.access(320, false) {
+            AccessOutcome::Miss { victim: Some(v) } => assert_eq!(v.line_addr, 192),
+            other => panic!("expected eviction of 192, got {other:?}"),
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=254 ways")]
+    fn caches_wider_than_the_clock_are_rejected() {
+        let wide = CacheConfig {
+            size_bytes: 255 * 64,
+            ways: 255,
+        };
+        let _: SetAssocArray<()> = SetAssocArray::new(wide);
     }
 
     #[test]

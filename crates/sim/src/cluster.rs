@@ -67,10 +67,10 @@ impl<S: InstructionStream> ClusterSim<S> {
         if let Err(e) = config.validate() {
             panic!("invalid simulator configuration: {e}");
         }
-        // The LLC's tag and stamp arrays (512 KB each for the paper's 4 MB
-        // LLC) are a point's largest blocks, and peak RSS follows them.
-        // They are allocated before the cores' buffers so they can reuse
-        // the space the previous point's arrays left in this thread's
+        // The LLC's tag array (512 KB for the paper's 4 MB LLC) is a
+        // point's largest block, and peak RSS on the sweeps follows it.
+        // The LLC is built before the cores' buffers so its arrays can
+        // reuse the space the previous point's left in this thread's
         // malloc arena: cores first measured 9.6 MB of peak RSS on
         // `figures-fast` against 7.9 MB on a 2-vCPU host (see DESIGN.md
         // "Allocation order").

@@ -101,14 +101,25 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
+    /// Widest supported cache: a set's one-byte LRU clock must fit a
+    /// renumbered full set plus one more touch (see
+    /// [`crate::cache::SetAssocArray`]).
+    pub const MAX_WAYS: u32 = 254;
+
     /// Creates a geometry.
     ///
     /// # Panics
     ///
-    /// Panics if the size is not a positive multiple of
-    /// `ways * `[`crate::LINE_BYTES`] or the set count is not a power of two.
+    /// Panics if the way count is outside `1..=`[`Self::MAX_WAYS`], the
+    /// size is not a positive multiple of `ways * `[`crate::LINE_BYTES`]
+    /// or the set count is not a power of two.
     pub fn new(size_bytes: u64, ways: u32) -> Self {
-        assert!(ways > 0 && size_bytes > 0, "degenerate cache geometry");
+        assert!(
+            (1..=Self::MAX_WAYS).contains(&ways),
+            "cache must have 1..={} ways, got {ways}",
+            Self::MAX_WAYS
+        );
+        assert!(size_bytes > 0, "degenerate cache geometry");
         let sets = size_bytes / (u64::from(ways) * crate::LINE_BYTES);
         assert!(
             sets > 0 && sets.is_power_of_two(),
@@ -473,8 +484,9 @@ impl ClusterConfig {
     /// builds), [`SimConfigError::Frequency`] when `core_mhz` is not
     /// positive and finite, [`SimConfigError::ZeroCoreParameter`] for a
     /// zero width, ROB size or MSHR count, [`SimConfigError::CacheWays`] /
-    /// [`SimConfigError::CacheSets`] for an L1 or LLC geometry with no
-    /// ways or a set count that is not a power of two, and
+    /// [`SimConfigError::CacheSets`] for an L1 or LLC geometry with a way
+    /// count outside `1..=`[`CacheConfig::MAX_WAYS`] or a set count that is
+    /// not a power of two, and
     /// [`SimConfigError::LlcBanks`] for an LLC with no banks.
     pub fn validate_at(&self, cluster: usize) -> Result<(), SimConfigError> {
         if self.cores < 1 || self.cores > Self::MAX_CORES {
@@ -504,8 +516,12 @@ impl ClusterConfig {
             ("core.l1d", core.l1d),
             ("llc.cache", self.llc.cache),
         ] {
-            if geometry.ways == 0 {
-                return Err(SimConfigError::CacheWays { cluster, cache });
+            if !(1..=CacheConfig::MAX_WAYS).contains(&geometry.ways) {
+                return Err(SimConfigError::CacheWays {
+                    cluster,
+                    cache,
+                    ways: geometry.ways,
+                });
             }
             let sets = geometry.sets();
             if !sets.is_power_of_two() {
@@ -702,12 +718,14 @@ pub enum SimConfigError {
         /// The zero field, e.g. `"core.width"`.
         field: &'static str,
     },
-    /// A cache with zero ways.
+    /// A cache whose way count is outside `1..=`[`CacheConfig::MAX_WAYS`].
     CacheWays {
         /// Index of the offending cluster.
         cluster: usize,
         /// The cache, e.g. `"core.l1d"` or `"llc.cache"`.
         cache: &'static str,
+        /// The rejected way count.
+        ways: u32,
     },
     /// A cache whose set count (`size_bytes / (ways × line)`) is zero or
     /// not a power of two.
@@ -744,9 +762,15 @@ impl fmt::Display for SimConfigError {
             SimConfigError::ZeroCoreParameter { cluster, field } => {
                 write!(f, "cluster {cluster}: {field} must be at least 1")
             }
-            SimConfigError::CacheWays { cluster, cache } => {
-                write!(f, "cluster {cluster}: {cache} must have at least one way")
-            }
+            SimConfigError::CacheWays {
+                cluster,
+                cache,
+                ways,
+            } => write!(
+                f,
+                "cluster {cluster}: {cache} must have 1..={} ways, got {ways}",
+                CacheConfig::MAX_WAYS
+            ),
             SimConfigError::CacheSets {
                 cluster,
                 cache,
@@ -878,19 +902,56 @@ mod tests {
         }
     }
 
-    #[test]
-    fn validate_rejects_zero_way_caches() {
-        // Public fields bypass `CacheConfig::new`, and `CacheConfig::sets`
-        // divides by the way count.
+    /// Sets the way count of the cache `geometry` picks to 0, one past
+    /// [`CacheConfig::MAX_WAYS`] and `u32::MAX` (public fields bypass
+    /// `CacheConfig::new`, and `CacheConfig::sets` divides by the way
+    /// count), expecting a typed rejection naming `cache` and the range,
+    /// then checks that the widest supported geometry validates.
+    fn check_way_bounds(cache: &'static str, geometry: fn(&mut SimConfig) -> &mut CacheConfig) {
+        for ways in [0, CacheConfig::MAX_WAYS + 1, u32::MAX] {
+            let mut c = SimConfig::paper_cluster(1000.0);
+            geometry(&mut c).ways = ways;
+            let err = c.validate().unwrap_err();
+            assert_eq!(
+                err,
+                SimConfigError::CacheWays {
+                    cluster: 0,
+                    cache,
+                    ways
+                }
+            );
+            let msg = err.to_string();
+            assert!(
+                msg.contains(cache)
+                    && msg.contains("1..=254 ways")
+                    && msg.contains(&ways.to_string()),
+                "{msg}"
+            );
+        }
         let mut c = SimConfig::paper_cluster(1000.0);
-        c.core.l1d.ways = 0;
-        assert_eq!(
-            c.validate(),
-            Err(SimConfigError::CacheWays {
-                cluster: 0,
-                cache: "core.l1d"
-            })
-        );
+        *geometry(&mut c) = CacheConfig::new(16 * 254 * 64, CacheConfig::MAX_WAYS);
+        assert_eq!(c.validate(), Ok(()));
+    }
+
+    #[test]
+    fn validate_bounds_l1i_ways() {
+        check_way_bounds("core.l1i", |c| &mut c.core.l1i);
+    }
+
+    #[test]
+    fn validate_bounds_l1d_ways() {
+        check_way_bounds("core.l1d", |c| &mut c.core.l1d);
+    }
+
+    #[test]
+    fn validate_bounds_llc_ways() {
+        check_way_bounds("llc.cache", |c| &mut c.llc.cache);
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=254 ways, got 255")]
+    fn caches_wider_than_254_ways_are_rejected() {
+        let _ = CacheConfig::new(255 * 64, 255);
     }
 
     #[test]

@@ -113,36 +113,24 @@ proptest! {
         set_bits in 0u32..7,
         ops in prop::collection::vec(0u64..u64::MAX, 1..400),
     ) {
-        let sets = 1u64 << set_bits;
-        let config = CacheConfig::new(sets * u64::from(ways) * 64, ways);
-        let mut cache: SetAssocArray<u32> = SetAssocArray::new(config);
-        let mut model = ModelCache::new(sets, ways as usize);
-        // Twice the capacity in lines, so sets fill and evict, plus the
-        // highest line in the address space (the largest tag).
-        let pool = 2 * sets * u64::from(ways) + 1;
-        for op in ops {
-            let index = (op >> 8) % pool;
-            let line = if index == pool - 1 { !63 } else { index * 64 };
-            match op % 8 {
-                0..=5 => {
-                    let write = op % 8 >= 4;
-                    let (outcome, payload) = cache.access_way(line, write);
-                    let (expected, model_payload) = model.access(line, write);
-                    prop_assert_eq!(outcome, expected);
-                    prop_assert_eq!(*payload, *model_payload);
-                    // Odd draws also update the line's payload.
-                    if op & (1 << 63) != 0 {
-                        *payload = (op >> 32) as u32;
-                        *model_payload = (op >> 32) as u32;
-                    }
-                }
-                6 => prop_assert_eq!(cache.invalidate(line), model.invalidate(line)),
-                _ => prop_assert_eq!(cache.probe(line), model.probe(line)),
-            }
-            prop_assert_eq!(cache.probe(line), model.probe(line));
-            prop_assert_eq!(cache.resident_lines(), model.resident_lines());
-            prop_assert_eq!((cache.hits(), cache.misses()), (model.hits, model.misses));
-        }
+        drive_against_model(1 << set_bits, ways, &ops);
+    }
+
+    /// The same comparison over runs long enough that every set's one-byte
+    /// LRU clock passes 255 and renumbers its stamps several times, at the
+    /// widest supported associativity too.
+    #[test]
+    fn cache_matches_its_reference_model_across_renumbering(
+        ways in 0usize..4,
+        set_bits in 0u32..3,
+        ops in prop::collection::vec(0u64..u64::MAX, 2000..6001),
+    ) {
+        let ways = [1, 2, 16, CacheConfig::MAX_WAYS][ways];
+        let touches = drive_against_model(1 << set_bits, ways, &ops);
+        prop_assert!(
+            touches.iter().all(|&t| t > u64::from(u8::MAX)),
+            "every set's clock must wrap: {touches:?}"
+        );
     }
 
     /// Every DRAM read completes, after its arrival, with at least the
@@ -204,6 +192,45 @@ proptest! {
         prop_assert!((back.vdd.0 - op.vdd.0).abs() < 1e-12);
         prop_assert_eq!(back.bias, op.bias);
     }
+}
+
+/// Drives a `sets` × `ways` [`SetAssocArray`] and a [`ModelCache`] with the
+/// same reads, writes, invalidations, probes and payload updates decoded
+/// from `ops`, and asserts that every outcome matches. Returns the number
+/// of reads and writes each set received.
+fn drive_against_model(sets: u64, ways: u32, ops: &[u64]) -> Vec<u64> {
+    let config = CacheConfig::new(sets * u64::from(ways) * 64, ways);
+    let mut cache: SetAssocArray<u32> = SetAssocArray::new(config);
+    let mut model = ModelCache::new(sets, ways as usize);
+    let mut touches = vec![0; sets as usize];
+    // Twice the capacity in lines, so sets fill and evict, plus the
+    // highest line in the address space (the largest tag).
+    let pool = 2 * sets * u64::from(ways) + 1;
+    for &op in ops {
+        let index = (op >> 8) % pool;
+        let line = if index == pool - 1 { !63 } else { index * 64 };
+        match op % 8 {
+            0..=5 => {
+                touches[((line / 64) % sets) as usize] += 1;
+                let write = op % 8 >= 4;
+                let (outcome, payload) = cache.access_way(line, write);
+                let (expected, model_payload) = model.access(line, write);
+                assert_eq!(outcome, expected);
+                assert_eq!(*payload, *model_payload);
+                // Odd draws also update the line's payload.
+                if op & (1 << 63) != 0 {
+                    *payload = (op >> 32) as u32;
+                    *model_payload = (op >> 32) as u32;
+                }
+            }
+            6 => assert_eq!(cache.invalidate(line), model.invalidate(line)),
+            _ => assert_eq!(cache.probe(line), model.probe(line)),
+        }
+        assert_eq!(cache.probe(line), model.probe(line));
+        assert_eq!(cache.resident_lines(), model.resident_lines());
+        assert_eq!((cache.hits(), cache.misses()), (model.hits, model.misses));
+    }
+    touches
 }
 
 /// One way of [`ModelCache`].
