@@ -486,8 +486,8 @@ impl ClusterConfig {
     /// zero width, ROB size or MSHR count, [`SimConfigError::CacheWays`] /
     /// [`SimConfigError::CacheSets`] for an L1 or LLC geometry with a way
     /// count outside `1..=`[`CacheConfig::MAX_WAYS`] or a set count that is
-    /// not a power of two, and
-    /// [`SimConfigError::LlcBanks`] for an LLC with no banks.
+    /// not a power of two, and [`SimConfigError::LlcBanks`] for an LLC with
+    /// no banks.
     pub fn validate_at(&self, cluster: usize) -> Result<(), SimConfigError> {
         if self.cores < 1 || self.cores > Self::MAX_CORES {
             return Err(SimConfigError::Cores {

@@ -117,8 +117,8 @@ proptest! {
     }
 
     /// The same comparison over runs long enough that every set's one-byte
-    /// LRU clock passes 255 and renumbers its stamps several times, at the
-    /// widest supported associativity too.
+    /// LRU clock passes 255 and renumbers its stamps at least once (most
+    /// sets many times), at the widest supported associativity too.
     #[test]
     fn cache_matches_its_reference_model_across_renumbering(
         ways in 0usize..4,
