@@ -5,11 +5,14 @@
 //! bench — cluster cycles per workload class, the cycle-skip fast path
 //! against the naive loop across three clocks, the epoch-barrier
 //! parallel chip, the batched frequency ladder, and the DRAM scheduler
-//! in both the random and deep-queue regimes — with a cheap best-of-N
-//! `Instant` harness, then appends `{commit, date, groups}` to the
-//! `trajectory` array (creating it when absent). The existing top-level
-//! baseline fields are left untouched, so the file keeps its curated
-//! commentary while the trajectory grows one entry per recorded run.
+//! in both the random and deep-queue regimes — with an `Instant`
+//! harness that runs every kernel [`REPS`] times, round-robin across the
+//! kernels so that host drift hits them all alike, then appends
+//! `{commit, date, reps, groups}` to the `trajectory` array (creating it
+//! when absent). Each kernel's cell is `{"median": ms, "quartiles": [q1,
+//! q3]}`. The existing top-level baseline fields are left untouched, so
+//! the file keeps its curated commentary while the trajectory grows one
+//! entry per recorded run.
 //!
 //! Run from the repository root with `cargo run --release -p ntc-bench
 //! --bin bench-trajectory`. Debug-build timings would be meaningless;
@@ -27,59 +30,48 @@ use std::hint::black_box;
 use std::process::{Command, ExitCode};
 use std::time::Instant;
 
-/// Timing repetitions per kernel; the best run is recorded (matching the
-/// "fastest stable iteration" convention Criterion's estimates follow).
-const REPS: u32 = 3;
+/// Timing repetitions per kernel.
+const REPS: usize = 9;
 
-fn best_of<F: FnMut()>(mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    (best * 100.0).round() / 100.0
-}
-
-fn cluster_kernel_ms(app: CloudSuiteApp) -> f64 {
+fn cluster_kernel(app: CloudSuiteApp) -> impl FnMut() {
     let profile = WorkloadProfile::cloudsuite(app);
-    best_of(|| {
+    move || {
         let p = profile.clone();
         let mut sim = ClusterSim::new(SimConfig::paper_cluster(1000.0), |core| {
             ProfileStream::new(p.clone(), u64::from(core))
         });
         prewarm_cluster(&mut sim, &profile);
         black_box(sim.run(20_000));
-    })
+    }
 }
 
-fn cycle_skip_kernel_ms(mhz: f64, skip: bool) -> f64 {
-    best_of(|| {
+fn cycle_skip_kernel(mhz: f64, skip: bool) -> impl FnMut() {
+    move || {
         let mut sim = ClusterSim::new(SimConfig::paper_cluster(mhz), |i| {
             PointerChaseStream::new(256 << 20, 0, u64::from(i))
         });
         sim.set_cycle_skip(skip);
         black_box(sim.run(20_000));
-    })
+    }
 }
 
-fn parallel_chip_kernel_ms(threads: usize) -> f64 {
+fn parallel_chip_kernel(threads: usize) -> impl FnMut() {
     use ntc_sim::ChipSim;
-    best_of(|| {
+    move || {
         let mut chip = ChipSim::new(SimConfig::paper_cluster(2000.0), 4, |cl, c| {
             PointerChaseStream::new(256 << 20, 0, u64::from(cl) * 4 + u64::from(c))
         });
         chip.set_cycle_skip(false);
         chip.set_threads(threads);
         black_box(chip.run(20_000));
-    })
+    }
 }
 
-fn batched_ladder_kernel_ms(batched: bool) -> f64 {
+fn batched_ladder_kernel(batched: bool) -> impl FnMut() {
     use ntc_core::{ClusterMeasurer, SimMeasurer};
     let freqs = [2000.0, 1500.0, 1000.0, 500.0, 250.0];
     let measurer = SimMeasurer::fast(WorkloadProfile::cloudsuite(CloudSuiteApp::WebSearch));
-    best_of(|| {
+    move || {
         if batched {
             black_box(measurer.measure_ladder(&freqs).unwrap());
         } else {
@@ -87,13 +79,13 @@ fn batched_ladder_kernel_ms(batched: bool) -> f64 {
                 black_box(measurer.measure(mhz).unwrap());
             }
         }
-    })
+    }
 }
 
-fn dram_kernel_ms(deep_queue: bool) -> f64 {
+fn dram_kernel(deep_queue: bool) -> impl FnMut() {
     use ntc_sim::config::DramTimingConfig;
     use ntc_sim::dram::DramSystem;
-    best_of(|| {
+    move || {
         let mut sys = DramSystem::new(DramTimingConfig::ddr4_1600_paper());
         let mut x = 0x9E3779B97F4A7C15u64;
         let mut now = 0u64;
@@ -121,7 +113,132 @@ fn dram_kernel_ms(deep_queue: bool) -> f64 {
         }
         sys.tick(u64::MAX / 2);
         black_box(sys.stats());
-    })
+    }
+}
+
+/// One timed kernel: its group, its name in the group, and its body.
+type Kernel = (&'static str, &'static str, Box<dyn FnMut()>);
+
+fn kernels() -> Vec<Kernel> {
+    vec![
+        (
+            "cluster_sim",
+            "websearch_20k_cycles_ms",
+            Box::new(cluster_kernel(CloudSuiteApp::WebSearch)),
+        ),
+        (
+            "cluster_sim",
+            "data_serving_20k_cycles_ms",
+            Box::new(cluster_kernel(CloudSuiteApp::DataServing)),
+        ),
+        (
+            "cycle_skip",
+            "memory_bound_near_threshold_skip_ms",
+            Box::new(cycle_skip_kernel(500.0, true)),
+        ),
+        (
+            "cycle_skip",
+            "memory_bound_near_threshold_naive_ms",
+            Box::new(cycle_skip_kernel(500.0, false)),
+        ),
+        (
+            "cycle_skip",
+            "memory_bound_low_freq_skip_ms",
+            Box::new(cycle_skip_kernel(1000.0, true)),
+        ),
+        (
+            "cycle_skip",
+            "memory_bound_low_freq_naive_ms",
+            Box::new(cycle_skip_kernel(1000.0, false)),
+        ),
+        (
+            "cycle_skip",
+            "memory_bound_nominal_skip_ms",
+            Box::new(cycle_skip_kernel(2000.0, true)),
+        ),
+        (
+            "cycle_skip",
+            "memory_bound_nominal_naive_ms",
+            Box::new(cycle_skip_kernel(2000.0, false)),
+        ),
+        (
+            "parallel_chip",
+            "chase_4cl_naive_serial_ms",
+            Box::new(parallel_chip_kernel(1)),
+        ),
+        (
+            "parallel_chip",
+            "chase_4cl_naive_2threads_ms",
+            Box::new(parallel_chip_kernel(2)),
+        ),
+        (
+            "parallel_chip",
+            "chase_4cl_naive_4threads_ms",
+            Box::new(parallel_chip_kernel(4)),
+        ),
+        (
+            "batched_ladder",
+            "web_search_5pt_per_point_ms",
+            Box::new(batched_ladder_kernel(false)),
+        ),
+        (
+            "batched_ladder",
+            "web_search_5pt_batched_ms",
+            Box::new(batched_ladder_kernel(true)),
+        ),
+        (
+            "dram_scheduler",
+            "fr_fcfs_random_10k_reads_ms",
+            Box::new(dram_kernel(false)),
+        ),
+        (
+            "dram_scheduler_deep_queue",
+            "mixed_rw_deep_queue_10k_ms",
+            Box::new(dram_kernel(true)),
+        ),
+    ]
+}
+
+/// The `p`-quantile of ascending `sorted`, interpolating between ranks.
+fn quantile(sorted: &[f64], p: f64) -> f64 {
+    let pos = (sorted.len() - 1) as f64 * p;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+fn ms(x: f64) -> Value {
+    Value::F64((x * 100.0).round() / 100.0)
+}
+
+/// Runs every kernel [`REPS`] times, one round over all kernels at a
+/// time, and returns the groups of `{median, quartiles}` cells in kernel
+/// order.
+fn time_kernels() -> Value {
+    let mut kernels = kernels();
+    let mut samples = vec![Vec::with_capacity(REPS); kernels.len()];
+    for _ in 0..REPS {
+        for ((_, _, run), times) in kernels.iter_mut().zip(&mut samples) {
+            let t = Instant::now();
+            run();
+            times.push(t.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    let mut groups: Vec<(String, Value)> = Vec::new();
+    for ((group, name, _), mut times) in kernels.into_iter().zip(samples) {
+        times.sort_by(f64::total_cmp);
+        let cell = map(vec![
+            ("median", ms(quantile(&times, 0.5))),
+            (
+                "quartiles",
+                Value::Seq(vec![ms(quantile(&times, 0.25)), ms(quantile(&times, 0.75))]),
+            ),
+        ]);
+        match groups.last_mut() {
+            Some((g, Value::Map(cells))) if g == group => cells.push((name.to_owned(), cell)),
+            _ => groups.push((group.to_owned(), map(vec![(name, cell)]))),
+        }
+    }
+    Value::Map(groups)
 }
 
 fn map(fields: Vec<(&str, Value)>) -> Value {
@@ -168,98 +285,12 @@ fn main() -> ExitCode {
         .unwrap_or_else(|| "unknown".to_owned());
     let date = command_line("date", &["+%F"]).unwrap_or_else(|| "unknown".to_owned());
 
-    eprintln!("bench-trajectory: timing kernel groups (best of {REPS})...");
-    let groups = map(vec![
-        (
-            "cluster_sim",
-            map(vec![
-                (
-                    "websearch_20k_cycles_ms",
-                    Value::F64(cluster_kernel_ms(CloudSuiteApp::WebSearch)),
-                ),
-                (
-                    "data_serving_20k_cycles_ms",
-                    Value::F64(cluster_kernel_ms(CloudSuiteApp::DataServing)),
-                ),
-            ]),
-        ),
-        (
-            "cycle_skip",
-            map(vec![
-                (
-                    "memory_bound_near_threshold_skip_ms",
-                    Value::F64(cycle_skip_kernel_ms(500.0, true)),
-                ),
-                (
-                    "memory_bound_near_threshold_naive_ms",
-                    Value::F64(cycle_skip_kernel_ms(500.0, false)),
-                ),
-                (
-                    "memory_bound_low_freq_skip_ms",
-                    Value::F64(cycle_skip_kernel_ms(1000.0, true)),
-                ),
-                (
-                    "memory_bound_low_freq_naive_ms",
-                    Value::F64(cycle_skip_kernel_ms(1000.0, false)),
-                ),
-                (
-                    "memory_bound_nominal_skip_ms",
-                    Value::F64(cycle_skip_kernel_ms(2000.0, true)),
-                ),
-                (
-                    "memory_bound_nominal_naive_ms",
-                    Value::F64(cycle_skip_kernel_ms(2000.0, false)),
-                ),
-            ]),
-        ),
-        (
-            "parallel_chip",
-            map(vec![
-                (
-                    "chase_4cl_naive_serial_ms",
-                    Value::F64(parallel_chip_kernel_ms(1)),
-                ),
-                (
-                    "chase_4cl_naive_2threads_ms",
-                    Value::F64(parallel_chip_kernel_ms(2)),
-                ),
-                (
-                    "chase_4cl_naive_4threads_ms",
-                    Value::F64(parallel_chip_kernel_ms(4)),
-                ),
-            ]),
-        ),
-        (
-            "batched_ladder",
-            map(vec![
-                (
-                    "web_search_5pt_per_point_ms",
-                    Value::F64(batched_ladder_kernel_ms(false)),
-                ),
-                (
-                    "web_search_5pt_batched_ms",
-                    Value::F64(batched_ladder_kernel_ms(true)),
-                ),
-            ]),
-        ),
-        (
-            "dram_scheduler",
-            map(vec![(
-                "fr_fcfs_random_10k_reads_ms",
-                Value::F64(dram_kernel_ms(false)),
-            )]),
-        ),
-        (
-            "dram_scheduler_deep_queue",
-            map(vec![(
-                "mixed_rw_deep_queue_10k_ms",
-                Value::F64(dram_kernel_ms(true)),
-            )]),
-        ),
-    ]);
+    eprintln!("bench-trajectory: timing kernel groups ({REPS} round-robin runs each)...");
+    let groups = time_kernels();
     let entry = map(vec![
         ("commit", Value::Str(commit)),
         ("date", Value::Str(date)),
+        ("reps", Value::U64(REPS as u64)),
         ("groups", groups),
     ]);
 

@@ -208,6 +208,10 @@ impl<S: InstructionStream> ChipSim<S> {
     }
 
     /// Installs shared lines into one cluster's LLC.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sharers` names a core the cluster does not have.
     pub fn prewarm_llc(
         &mut self,
         cluster: u32,

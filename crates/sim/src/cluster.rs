@@ -185,6 +185,10 @@ impl<S: InstructionStream> ClusterSim<S> {
     }
 
     /// Installs shared lines into the LLC only (warm data too big for L1s).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sharers` names a core the cluster does not have.
     pub fn prewarm_llc(&mut self, lines: impl IntoIterator<Item = u64>, sharers: SharerMask) {
         for line in lines {
             self.mem.install_llc(line, sharers);

@@ -269,8 +269,8 @@ impl IssueSched {
 pub struct Core {
     id: u32,
     cfg: CoreConfig,
-    l1i: SetAssocArray<()>,
-    l1d: SetAssocArray<()>,
+    l1i: SetAssocArray,
+    l1d: SetAssocArray,
     /// The reorder window: a ring indexed by the scheduler's slot of a
     /// sequence number, holding `rob_head..next_seq`.
     rob: Vec<RobEntry>,
@@ -712,7 +712,7 @@ impl Core {
                     }
                 }
                 OpClass::Load => {
-                    let line = SetAssocArray::<()>::align(addr);
+                    let line = SetAssocArray::align(addr);
                     match self.l1d.access(line, false) {
                         AccessOutcome::Hit => Stage::Executing {
                             done_cycle: cycle + l1_latency,
@@ -748,7 +748,7 @@ impl Core {
                     }
                 }
                 OpClass::Store => {
-                    let line = SetAssocArray::<()>::align(addr);
+                    let line = SetAssocArray::align(addr);
                     match self.l1d.access(line, true) {
                         AccessOutcome::Hit => Stage::Executing {
                             done_cycle: cycle + 1,
@@ -832,7 +832,7 @@ impl Core {
             // Instruction fetch: touch the L1-I at line granularity (a
             // repeat of the previous fetch's line is a hit; see
             // `last_iline`).
-            let iline = SetAssocArray::<()>::align(instr.pc);
+            let iline = SetAssocArray::align(instr.pc);
             if iline != self.last_iline {
                 self.last_iline = iline;
                 if let AccessOutcome::Miss { .. } = self.l1i.access(iline, false) {

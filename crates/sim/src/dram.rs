@@ -542,6 +542,12 @@ pub struct DramSystem {
     /// absolute time than the shared DRAM has reached — its memory
     /// system clamps against this (see [`DramSystem::now_ps`]).
     now_ps: u64,
+    /// The `until_ps` of the last tick that walked the channels, until a
+    /// request is enqueued or a scheduler setting changes. That walk
+    /// stopped where its scheduler could start nothing more before this
+    /// time, and nothing has changed since, so another tick to it has
+    /// nothing to do.
+    walked_to: Option<u64>,
 }
 
 impl DramSystem {
@@ -572,6 +578,7 @@ impl DramSystem {
             next_issue_cache: None,
             read_completion_cache: None,
             now_ps: 0,
+            walked_to: None,
         }
     }
 
@@ -597,6 +604,7 @@ impl DramSystem {
     /// the same underlying structures.
     pub fn set_reference_scheduler(&mut self, reference: bool) {
         self.reference = reference;
+        self.walked_to = None;
     }
 
     /// Injects a deliberate scheduling bug into the **indexed** path: it
@@ -609,6 +617,7 @@ impl DramSystem {
     #[doc(hidden)]
     pub fn set_scheduler_mutation(&mut self, enabled: bool) {
         self.mutate_scheduler = enabled;
+        self.walked_to = None;
     }
 
     /// Maps a line address to its channel/rank/bank/row.
@@ -664,6 +673,7 @@ impl DramSystem {
         write: bool,
         arrive: u64,
     ) {
+        self.walked_to = None;
         self.next_issue_cache = None;
         self.read_completion_cache = None;
         let addr = self.map(line_addr);
@@ -889,11 +899,21 @@ impl DramSystem {
     /// Advances every channel's scheduler up to `until_ps`, issuing all
     /// commands whose timing windows open before then. `until_ps` must be
     /// monotone across calls (the engine's clock always is).
+    ///
+    /// The indexed scheduler returns at once from a tick to the time the
+    /// last walk over the channels reached, if nothing was enqueued since:
+    /// every lane of a chip ticks the shared DRAM at each boundary, and
+    /// the lanes after the first find nothing new to issue. The reference
+    /// scheduler always walks every channel.
     pub fn tick(&mut self, until_ps: u64) {
         if self.queued == 0 {
             return;
         }
         self.now_ps = self.now_ps.max(until_ps);
+        if !self.reference && self.walked_to == Some(until_ps) {
+            return;
+        }
+        self.walked_to = Some(until_ps);
         for ch in 0..self.channels.len() {
             #[cfg(debug_assertions)]
             {
@@ -1315,6 +1335,75 @@ mod tests {
             );
             assert_eq!(fast.pending(), 0);
             assert_eq!(oracle.pending(), 0);
+        }
+    }
+
+    /// Drives `sys` with mixed random traffic, some of it arriving after
+    /// the boundary it is submitted at. After each request the current
+    /// boundary and up to three more, each ticked 1 to `max_repeats`
+    /// times, pass as the lanes of a chip tick their shared DRAM. Returns
+    /// the completions in drain order, the clock before the final flush,
+    /// and the statistics.
+    fn drive_repeated_boundaries(
+        sys: &mut DramSystem,
+        seed: u64,
+        n: u64,
+        max_repeats: u64,
+    ) -> (Vec<(DramTicket, u64)>, u64, DramStats) {
+        let mut x = seed;
+        let mut completions = Vec::new();
+        let mut last_addr = 0u64;
+        let mut boundary = 2_000;
+        for _ in 0..n {
+            let r = xorshift(&mut x);
+            let addr = if r % 4 == 0 {
+                last_addr + 64 * 4
+            } else {
+                (r % (1 << 30)) & !63
+            };
+            last_addr = addr;
+            let arrive = boundary - 2_000 + (r >> 40) % 3_000;
+            if r % 5 == 0 {
+                sys.write(addr, arrive);
+            } else {
+                sys.read(addr, arrive);
+            }
+            for b in 0..1 + (r >> 30) % 4 {
+                if b > 0 {
+                    boundary += 1_000;
+                }
+                for _ in 0..1 + (r >> (20 + 4 * b)) % max_repeats {
+                    sys.tick(boundary);
+                }
+                completions.append(&mut sys.drain_completed());
+            }
+        }
+        let now = sys.now_ps();
+        sys.tick(u64::MAX / 2);
+        completions.append(&mut sys.drain_completed());
+        (completions, now, sys.stats())
+    }
+
+    #[test]
+    fn repeated_ticks_of_a_boundary_change_nothing() {
+        for seed in [1u64, 0x9E3779B97F4A7C15, 0xDEADBEEF] {
+            let mut repeated = system();
+            let mut single = system();
+            let mut oracle = system();
+            oracle.set_reference_scheduler(true);
+            let got = drive_repeated_boundaries(&mut repeated, seed, 2_000, 9);
+            assert!(got.0.len() > 1_000, "seed {seed}: reads complete");
+            assert_eq!(
+                got,
+                drive_repeated_boundaries(&mut single, seed, 2_000, 1),
+                "repeated vs single ticks, seed {seed}"
+            );
+            assert_eq!(
+                got,
+                drive_repeated_boundaries(&mut oracle, seed, 2_000, 1),
+                "indexed vs reference scheduler, seed {seed}"
+            );
+            assert_eq!(repeated.pending(), 0);
         }
     }
 

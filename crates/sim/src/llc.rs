@@ -8,10 +8,11 @@
 //! * an inclusive directory: each line carries a bitmask of cores holding
 //!   it in their L1s, so a write hitting a shared line generates
 //!   invalidations (MESI-style ownership transfer) and an LLC eviction
-//!   recalls the line from every sharer's L1;
+//!   recalls the line from every sharer's L1. The masks are packed at
+//!   `cores.next_power_of_two()` bits a line, beside the tag array;
 //! * hit/miss/writeback statistics feeding the power models.
 
-use crate::cache::{AccessOutcome, EvictedLine, SetAssocArray};
+use crate::cache::{AccessOutcome, EvictedLine, PackedBits, SetAssocArray};
 use crate::config::LlcConfig;
 use serde::{Deserialize, Serialize};
 
@@ -87,17 +88,37 @@ pub struct LlcAccess {
 #[derive(Debug)]
 pub struct SharedLlc {
     cfg: LlcConfig,
-    array: SetAssocArray<SharerMask>,
+    array: SetAssocArray,
+    /// The sharer directory: one mask per way of `array`, at the same
+    /// index, `cores.next_power_of_two()` bits wide. A mask names only the
+    /// cluster's cores, so the width holds it exactly.
+    sharers: PackedBits,
+    /// Every core of the cluster.
+    all_cores: SharerMask,
     bank_free_ps: Vec<u64>,
     stats: LlcStats,
     pending_invalidations: Vec<Invalidation>,
 }
 
 impl SharedLlc {
-    /// Builds an empty LLC.
-    pub fn new(cfg: LlcConfig) -> Self {
+    /// Builds an empty LLC shared by a cluster of `cores` cores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cores` is outside `1..=`[`crate::config::ClusterConfig::MAX_CORES`]
+    /// (the simulator's configuration checks reject such clusters first),
+    /// or on an invalid cache geometry (see [`SetAssocArray::new`]).
+    pub fn new(cfg: LlcConfig, cores: u32) -> Self {
+        assert!(
+            (1..=SharerMask::BITS).contains(&cores),
+            "an LLC is shared by 1..={} cores, got {cores}",
+            SharerMask::BITS
+        );
+        let lines = (cfg.cache.sets() * u64::from(cfg.cache.ways)) as usize;
         SharedLlc {
             array: SetAssocArray::new(cfg.cache),
+            sharers: PackedBits::new(lines, cores.next_power_of_two()),
+            all_cores: SharerMask::MAX >> (SharerMask::BITS - cores),
             bank_free_ps: vec![0; cfg.banks as usize],
             cfg,
             stats: LlcStats::default(),
@@ -110,11 +131,40 @@ impl SharedLlc {
         ((line_addr / crate::LINE_BYTES) % u64::from(self.cfg.banks)) as u32
     }
 
+    /// The sharers recorded at way `way`.
+    fn sharers_at(&self, way: usize) -> SharerMask {
+        self.sharers.get(way) as SharerMask
+    }
+
+    /// Queues invalidations of `line_addr` in the L1s of `cores`.
+    fn invalidate_sharers(&mut self, line_addr: u64, cores: SharerMask) {
+        self.stats.invalidations += u64::from(cores.count_ones());
+        self.pending_invalidations
+            .push(Invalidation { line_addr, cores });
+    }
+
+    /// Evicts the line a fill displaced from `way`: recalls it from its
+    /// sharers' L1s (inclusion) and returns its address if it needs a
+    /// write-back. Reads the victim's sharers before the fill overwrites
+    /// them.
+    fn evict(&mut self, victim: Option<EvictedLine>, way: usize) -> Option<u64> {
+        let v = victim?;
+        let sharers = self.sharers_at(way);
+        if sharers != 0 {
+            self.invalidate_sharers(v.line_addr, sharers);
+        }
+        v.dirty.then(|| {
+            self.stats.writebacks += 1;
+            v.line_addr
+        })
+    }
+
     /// Looks up `line_addr` for `core` at `arrive_ps`.
     ///
     /// `write` requests ownership: other sharers are invalidated (the
     /// invalidations are queued for the cluster to apply and the access
-    /// pays the coherence round-trip).
+    /// pays the coherence round-trip). `core` is one of the cluster's
+    /// cores: the crossbar port the caller traversed to get here.
     pub fn access(&mut self, line_addr: u64, write: bool, core: u32, arrive_ps: u64) -> LlcAccess {
         let bank = self.bank_of(line_addr) as usize;
         let start = arrive_ps.max(self.bank_free_ps[bank]);
@@ -122,55 +172,33 @@ impl SharedLlc {
         self.bank_free_ps[bank] = ready;
 
         let me: SharerMask = 1 << core;
-        let (outcome, sharers) = self.array.access_way(line_addr, write);
-        let hit = matches!(outcome, AccessOutcome::Hit);
+        let (outcome, way) = self.array.access_way(line_addr, write);
         let mut writeback = None;
-
-        match outcome {
+        let sharers = match outcome {
             AccessOutcome::Hit => {
                 self.stats.hits += 1;
+                let sharers = self.sharers_at(way);
                 if write {
-                    let others = *sharers & !me;
+                    let others = sharers & !me;
                     if others != 0 {
-                        self.stats.invalidations += others.count_ones() as u64;
-                        self.pending_invalidations.push(Invalidation {
-                            line_addr,
-                            cores: others,
-                        });
+                        self.invalidate_sharers(line_addr, others);
                         ready += self.cfg.invalidate_ps;
                     }
-                    *sharers = me;
+                    me
                 } else {
-                    *sharers |= me;
+                    sharers | me
                 }
             }
             AccessOutcome::Miss { victim } => {
                 self.stats.misses += 1;
-                *sharers = me;
-                if let Some(EvictedLine {
-                    line_addr: victim_addr,
-                    dirty,
-                    payload: sharers,
-                }) = victim
-                {
-                    // Inclusive recall: sharers must drop their L1 copies.
-                    if sharers != 0 {
-                        self.stats.invalidations += sharers.count_ones() as u64;
-                        self.pending_invalidations.push(Invalidation {
-                            line_addr: victim_addr,
-                            cores: sharers,
-                        });
-                    }
-                    if dirty {
-                        self.stats.writebacks += 1;
-                        writeback = Some(victim_addr);
-                    }
-                }
+                writeback = self.evict(victim, way);
+                me
             }
-        }
+        };
+        self.sharers.set(way, u64::from(sharers));
 
         LlcAccess {
-            hit,
+            hit: outcome == AccessOutcome::Hit,
             ready_ps: ready,
             writeback,
         }
@@ -182,31 +210,31 @@ impl SharedLlc {
         let bank = self.bank_of(line_addr) as usize;
         let start = arrive_ps.max(self.bank_free_ps[bank]);
         self.bank_free_ps[bank] = start + self.cfg.bank_service_ps;
-        match self.array.access(line_addr, true) {
-            AccessOutcome::Hit => None,
-            AccessOutcome::Miss { victim } => victim.and_then(|v| {
-                if v.payload != 0 {
-                    self.pending_invalidations.push(Invalidation {
-                        line_addr: v.line_addr,
-                        cores: v.payload,
-                    });
-                    self.stats.invalidations += v.payload.count_ones() as u64;
-                }
-                if v.dirty {
-                    self.stats.writebacks += 1;
-                    Some(v.line_addr)
-                } else {
-                    None
-                }
-            }),
+        match self.array.access_way(line_addr, true) {
+            (AccessOutcome::Hit, _) => None,
+            (AccessOutcome::Miss { victim }, way) => {
+                let writeback = self.evict(victim, way);
+                self.sharers.set(way, 0);
+                writeback
+            }
         }
     }
 
     /// Installs a line without timing or statistics — checkpoint-style
     /// cache warming (the paper launches simulations from checkpoints with
     /// warmed caches).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sharers` names a core the cluster does not have.
     pub fn install(&mut self, line_addr: u64, sharers: SharerMask) {
-        *self.array.access_way(line_addr, false).1 = sharers;
+        assert!(
+            sharers & !self.all_cores == 0,
+            "sharer mask {sharers:#b} names a core outside this {}-core cluster",
+            self.all_cores.count_ones()
+        );
+        let (_, way) = self.array.access_way(line_addr, false);
+        self.sharers.set(way, u64::from(sharers));
         // Warming must not perturb measurements or pending work.
         self.stats = LlcStats::default();
         self.pending_invalidations.clear();
@@ -240,7 +268,7 @@ mod tests {
     use super::*;
 
     fn llc() -> SharedLlc {
-        SharedLlc::new(LlcConfig::paper_cluster())
+        SharedLlc::new(LlcConfig::paper_cluster(), 4)
     }
 
     #[test]
@@ -331,5 +359,13 @@ mod tests {
         c.access(0, false, 0, 0);
         c.access(64, false, 0, 0);
         assert!((c.stats().miss_rate() - 2.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "names a core outside this 4-core cluster")]
+    fn install_rejects_a_mask_naming_an_absent_core() {
+        let mut c = llc();
+        c.install(0x40, 0b1111);
+        c.install(0x80, 0b1_0000);
     }
 }

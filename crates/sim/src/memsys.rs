@@ -131,7 +131,7 @@ impl MemorySystem {
     pub fn with_shared_dram(cluster: &ClusterConfig, dram: SharedDram, dram_owner: u32) -> Self {
         MemorySystem {
             xbar: Crossbar::new(cluster.xbar, cluster.cores),
-            llc: SharedLlc::new(cluster.llc),
+            llc: SharedLlc::new(cluster.llc, cluster.cores),
             dram,
             dram_owner,
             xbar_return_ps: cluster.xbar.traversal_ps,
@@ -261,7 +261,7 @@ impl MemorySystem {
         kind: MemRequestKind,
         now_ps: u64,
     ) -> MemTicket {
-        let line_addr = SetAssocArray::<()>::align(line_addr);
+        let line_addr = SetAssocArray::align(line_addr);
         let ticket = self.new_ticket(ReqState::InDram);
 
         // MSHR merge: the line is already on its way.
@@ -293,7 +293,7 @@ impl MemorySystem {
     /// one waits on it. A later demand miss to the same line merges onto
     /// the in-flight fill.
     pub fn submit_prefetch(&mut self, core: u32, line_addr: u64, now_ps: u64) {
-        let line_addr = SetAssocArray::<()>::align(line_addr);
+        let line_addr = SetAssocArray::align(line_addr);
         if self.by_line.contains_key(&line_addr) {
             return; // already in flight
         }
@@ -342,7 +342,7 @@ impl MemorySystem {
         key_ps: u64,
         after_tick: bool,
     ) {
-        let line_addr = SetAssocArray::<()>::align(line_addr);
+        let line_addr = SetAssocArray::align(line_addr);
         let at_llc = self.xbar.traverse(core as usize, now_ps);
         if let Some(victim) = self.llc.writeback_from_l1(line_addr, at_llc) {
             self.dram_write(victim, at_llc, key_ps, after_tick);
@@ -350,9 +350,12 @@ impl MemorySystem {
     }
 
     /// Installs a line in the LLC without timing (checkpoint warming).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sharers` names a core the cluster does not have.
     pub fn install_llc(&mut self, line_addr: u64, sharers: SharerMask) {
-        self.llc
-            .install(SetAssocArray::<()>::align(line_addr), sharers);
+        self.llc.install(SetAssocArray::align(line_addr), sharers);
     }
 
     /// Advances DRAM scheduling up to `until_ps` and resolves completed

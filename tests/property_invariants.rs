@@ -2,8 +2,9 @@
 
 use ntserver::power::{CoreActivity, CorePowerModel, DramPowerModel, DramTraffic};
 use ntserver::sim::cache::{AccessOutcome, EvictedLine, SetAssocArray};
-use ntserver::sim::config::{CacheConfig, DramTimingConfig};
+use ntserver::sim::config::{CacheConfig, DramTimingConfig, LlcConfig};
 use ntserver::sim::dram::DramSystem;
+use ntserver::sim::llc::{Invalidation, LlcAccess, LlcStats, SharedLlc, SharerMask};
 use ntserver::tech::{
     BodyBias, CoreModel, Kelvin, MegaHertz, OperatingPoint, Technology, TechnologyKind, Volts,
 };
@@ -80,9 +81,9 @@ proptest! {
     #[test]
     fn cache_capacity_invariant(addrs in prop::collection::vec(0u64..1u64<<20, 1..300)) {
         let config = CacheConfig::new(8 * 1024, 4); // 32 sets x 4 ways
-        let mut cache: SetAssocArray<()> = SetAssocArray::new(config);
+        let mut cache: SetAssocArray = SetAssocArray::new(config);
         for addr in addrs {
-            let line = SetAssocArray::<()>::align(addr);
+            let line = SetAssocArray::align(addr);
             let _ = cache.access(line, false);
             prop_assert!(cache.probe(line), "line just inserted must be present");
             prop_assert!(cache.resident_lines() <= 128);
@@ -94,9 +95,9 @@ proptest! {
     #[test]
     fn eviction_reports_are_accurate(addrs in prop::collection::vec(0u64..1u64<<16, 1..200)) {
         let config = CacheConfig::new(2 * 1024, 2); // 16 sets x 2 ways
-        let mut cache: SetAssocArray<()> = SetAssocArray::new(config);
+        let mut cache: SetAssocArray = SetAssocArray::new(config);
         for addr in addrs {
-            let line = SetAssocArray::<()>::align(addr);
+            let line = SetAssocArray::align(addr);
             if let AccessOutcome::Miss { victim: Some(v) } = cache.access(line, false) {
                 prop_assert!(!cache.probe(v.line_addr), "victim must be gone");
                 prop_assert_ne!(v.line_addr, line);
@@ -105,7 +106,7 @@ proptest! {
     }
 
     /// The split-array cache behaves exactly like a plain array-of-structs
-    /// LRU model: same hits, victims (line, dirty flag, payload), probes,
+    /// LRU model: same hits, victims (line and dirty flag), ways, probes,
     /// invalidations, occupancy and counters, for 1–16 ways and 1–64 sets.
     #[test]
     fn cache_matches_its_reference_model(
@@ -131,6 +132,25 @@ proptest! {
             touches.iter().all(|&t| t > u64::from(u8::MAX)),
             "every set's clock must wrap: {touches:?}"
         );
+    }
+
+    /// The shared LLC, whose sharer directory packs
+    /// `cores.next_power_of_two()` bits a line beside its tag array,
+    /// behaves exactly like a model that keeps a full `SharerMask` per
+    /// resident line: same hits, ready times, write-backs, ordered
+    /// invalidations and counters under random reads, writes, L1
+    /// write-backs and installs, for 1–64 sets, 1–16 ways and clusters of
+    /// 1–32 cores.
+    #[test]
+    fn llc_directory_matches_its_reference_model(
+        ways in 1u32..17,
+        set_bits in 0u32..7,
+        cores in 1u32..33,
+        ops in prop::collection::vec(0u64..u64::MAX, 1..400),
+    ) {
+        for cores in [1, 3, 5, 6, 17, 32, cores] {
+            drive_llc_against_model(1 << set_bits, ways, cores, &ops);
+        }
     }
 
     /// Every DRAM read completes, after its arrival, with at least the
@@ -195,16 +215,16 @@ proptest! {
 }
 
 /// Drives a `sets` × `ways` [`SetAssocArray`] and a [`ModelCache`] with the
-/// same reads, writes, invalidations, probes and payload updates decoded
-/// from `ops`, and asserts that every outcome matches. Returns the number
-/// of reads and writes each set received.
+/// same reads, writes, invalidations and probes decoded from `ops`, and
+/// asserts that every outcome matches. Returns the number of reads and
+/// writes each set received.
 fn drive_against_model(sets: u64, ways: u32, ops: &[u64]) -> Vec<u64> {
     let config = CacheConfig::new(sets * u64::from(ways) * 64, ways);
-    let mut cache: SetAssocArray<u32> = SetAssocArray::new(config);
+    let mut cache = SetAssocArray::new(config);
     let mut model = ModelCache::new(sets, ways as usize);
     let mut touches = vec![0; sets as usize];
     // Twice the capacity in lines, so sets fill and evict, plus the
-    // highest line in the address space (the largest tag).
+    // highest line in the address space, whose tag needs more than 32 bits.
     let pool = 2 * sets * u64::from(ways) + 1;
     for &op in ops {
         let index = (op >> 8) % pool;
@@ -213,15 +233,7 @@ fn drive_against_model(sets: u64, ways: u32, ops: &[u64]) -> Vec<u64> {
             0..=5 => {
                 touches[((line / 64) % sets) as usize] += 1;
                 let write = op % 8 >= 4;
-                let (outcome, payload) = cache.access_way(line, write);
-                let (expected, model_payload) = model.access(line, write);
-                assert_eq!(outcome, expected);
-                assert_eq!(*payload, *model_payload);
-                // Odd draws also update the line's payload.
-                if op & (1 << 63) != 0 {
-                    *payload = (op >> 32) as u32;
-                    *model_payload = (op >> 32) as u32;
-                }
+                assert_eq!(cache.access_way(line, write), model.access(line, write));
             }
             6 => assert_eq!(cache.invalidate(line), model.invalidate(line)),
             _ => assert_eq!(cache.probe(line), model.probe(line)),
@@ -233,6 +245,50 @@ fn drive_against_model(sets: u64, ways: u32, ops: &[u64]) -> Vec<u64> {
     touches
 }
 
+/// Drives a [`SharedLlc`] of `sets` × `ways` lines shared by `cores` cores
+/// and a [`ModelLlc`] with the same reads, writes, L1 write-backs, installs
+/// and invalidation drains decoded from `ops`, and asserts that every
+/// outcome matches.
+fn drive_llc_against_model(sets: u64, ways: u32, cores: u32, ops: &[u64]) {
+    let cfg = LlcConfig {
+        cache: CacheConfig::new(sets * u64::from(ways) * 64, ways),
+        ..LlcConfig::paper_cluster()
+    };
+    let mut llc = SharedLlc::new(cfg, cores);
+    let mut model = ModelLlc::new(cfg, sets, ways);
+    let all_cores = SharerMask::MAX >> (SharerMask::BITS - cores);
+    let pool = 2 * sets * u64::from(ways) + 1;
+    let mut now = 0;
+    for &op in ops {
+        let index = (op >> 8) % pool;
+        let line = if index == pool - 1 { !63 } else { index * 64 };
+        let core = ((op >> 40) % u64::from(cores)) as u32;
+        now += (op >> 48) % 3_000;
+        match op % 8 {
+            0..=3 => {
+                let write = op % 8 >= 2;
+                let got = llc.access(line, write, core, now);
+                assert_eq!(got, model.access(line, write, core, now));
+            }
+            4 | 5 => assert_eq!(
+                llc.writeback_from_l1(line, now),
+                model.writeback_from_l1(line, now)
+            ),
+            6 => {
+                let sharers = (op >> 16) as SharerMask & all_cores;
+                llc.install(line, sharers);
+                model.install(line, sharers);
+            }
+            _ => assert_eq!(
+                llc.drain_invalidations(),
+                std::mem::take(&mut model.invalidations)
+            ),
+        }
+        assert_eq!(llc.stats(), model.stats);
+    }
+    assert_eq!(llc.drain_invalidations(), model.invalidations);
+}
+
 /// One way of [`ModelCache`].
 #[derive(Debug, Clone, Copy, Default)]
 struct ModelWay {
@@ -240,7 +296,6 @@ struct ModelWay {
     tag: u64,
     dirty: bool,
     stamp: u64,
-    payload: u32,
 }
 
 /// The reference LRU cache: one struct per way, sets and tags by division,
@@ -277,14 +332,15 @@ impl ModelCache {
         (base..base + self.ways).find(|&i| self.lines[i].valid && self.lines[i].tag == tag)
     }
 
-    fn access(&mut self, line_addr: u64, write: bool) -> (AccessOutcome<u32>, &mut u32) {
+    /// The outcome, and the way the line hit or was filled into.
+    fn access(&mut self, line_addr: u64, write: bool) -> (AccessOutcome, usize) {
         self.tick += 1;
         if let Some(i) = self.find(line_addr) {
             self.hits += 1;
             let way = &mut self.lines[i];
             way.stamp = self.tick;
             way.dirty |= write;
-            return (AccessOutcome::Hit, &mut way.payload);
+            return (AccessOutcome::Hit, i);
         }
         self.misses += 1;
         let (base, tag) = self.locate(line_addr);
@@ -305,19 +361,14 @@ impl ModelCache {
         let evicted = old.valid.then_some(EvictedLine {
             line_addr: (old.tag * self.sets + set) * 64,
             dirty: old.dirty,
-            payload: old.payload,
         });
         self.lines[victim] = ModelWay {
             valid: true,
             tag,
             dirty: write,
             stamp: self.tick,
-            payload: 0,
         };
-        (
-            AccessOutcome::Miss { victim: evicted },
-            &mut self.lines[victim].payload,
-        )
+        (AccessOutcome::Miss { victim: evicted }, victim)
     }
 
     fn invalidate(&mut self, line_addr: u64) -> Option<bool> {
@@ -332,5 +383,107 @@ impl ModelCache {
 
     fn resident_lines(&self) -> usize {
         self.lines.iter().filter(|w| w.valid).count()
+    }
+}
+
+/// The reference shared LLC: a [`ModelCache`] for presence and victims,
+/// the same bank timing, and a full [`SharerMask`] per resident line, kept
+/// by line address.
+struct ModelLlc {
+    cfg: LlcConfig,
+    cache: ModelCache,
+    sharers: std::collections::HashMap<u64, SharerMask>,
+    bank_free_ps: Vec<u64>,
+    stats: LlcStats,
+    invalidations: Vec<Invalidation>,
+}
+
+impl ModelLlc {
+    fn new(cfg: LlcConfig, sets: u64, ways: u32) -> Self {
+        ModelLlc {
+            cfg,
+            cache: ModelCache::new(sets, ways as usize),
+            sharers: std::collections::HashMap::new(),
+            bank_free_ps: vec![0; cfg.banks as usize],
+            stats: LlcStats::default(),
+            invalidations: Vec::new(),
+        }
+    }
+
+    /// Serves `line_addr` at its bank; returns when the bank is done.
+    fn occupy_bank(&mut self, line_addr: u64, arrive_ps: u64) -> u64 {
+        let bank = ((line_addr / 64) % u64::from(self.cfg.banks)) as usize;
+        let ready = arrive_ps.max(self.bank_free_ps[bank]) + self.cfg.bank_service_ps;
+        self.bank_free_ps[bank] = ready;
+        ready
+    }
+
+    fn invalidate(&mut self, line_addr: u64, cores: SharerMask) {
+        self.stats.invalidations += u64::from(cores.count_ones());
+        self.invalidations.push(Invalidation { line_addr, cores });
+    }
+
+    /// Looks `line_addr` up in the cache, allocating it on a miss and
+    /// recalling a victim from its sharers. Returns whether it hit and the
+    /// victim's address if it needs a write-back.
+    fn fill(&mut self, line_addr: u64, write: bool) -> (bool, Option<u64>) {
+        let AccessOutcome::Miss { victim } = self.cache.access(line_addr, write).0 else {
+            return (true, None);
+        };
+        let Some(v) = victim else {
+            return (false, None);
+        };
+        let sharers = self
+            .sharers
+            .remove(&v.line_addr)
+            .expect("a resident line has a directory entry");
+        if sharers != 0 {
+            self.invalidate(v.line_addr, sharers);
+        }
+        if v.dirty {
+            self.stats.writebacks += 1;
+        }
+        (false, v.dirty.then_some(v.line_addr))
+    }
+
+    fn access(&mut self, line_addr: u64, write: bool, core: u32, arrive_ps: u64) -> LlcAccess {
+        let mut ready_ps = self.occupy_bank(line_addr, arrive_ps);
+        let me: SharerMask = 1 << core;
+        let (hit, writeback) = self.fill(line_addr, write);
+        if hit {
+            self.stats.hits += 1;
+            let sharers = self.sharers[&line_addr];
+            let others = sharers & !me;
+            if write && others != 0 {
+                self.invalidate(line_addr, others);
+                ready_ps += self.cfg.invalidate_ps;
+            }
+            self.sharers
+                .insert(line_addr, if write { me } else { sharers | me });
+        } else {
+            self.stats.misses += 1;
+            self.sharers.insert(line_addr, me);
+        }
+        LlcAccess {
+            hit,
+            ready_ps,
+            writeback,
+        }
+    }
+
+    fn writeback_from_l1(&mut self, line_addr: u64, arrive_ps: u64) -> Option<u64> {
+        self.occupy_bank(line_addr, arrive_ps);
+        let (hit, writeback) = self.fill(line_addr, true);
+        if !hit {
+            self.sharers.insert(line_addr, 0);
+        }
+        writeback
+    }
+
+    fn install(&mut self, line_addr: u64, sharers: SharerMask) {
+        self.fill(line_addr, false);
+        self.sharers.insert(line_addr, sharers);
+        self.stats = LlcStats::default();
+        self.invalidations.clear();
     }
 }
