@@ -94,14 +94,19 @@ enum Tags {
     Wide(Vec<u64>),
 }
 
+/// `tag` as a 32-bit tag, if it is below the narrow invalid marker.
+fn narrow(tag: u64) -> Option<u32> {
+    u32::try_from(tag).ok().filter(|&t| t != u32::MAX)
+}
+
 impl Tags {
     /// The way among `ways` holding `tag`.
     fn find(&self, ways: Range<usize>, tag: u64) -> Option<usize> {
         let base = ways.start;
         let w = match self {
             Tags::Narrow(tags) => {
-                // A narrow array holds no tag this wide.
-                let tag = u32::try_from(tag).ok().filter(|&t| t != u32::MAX)?;
+                // A narrow array holds no wider tag.
+                let tag = narrow(tag)?;
                 tags[ways].iter().position(|&t| t == tag)
             }
             Tags::Wide(tags) => tags[ways].iter().position(|&t| t == tag),
@@ -121,25 +126,16 @@ impl Tags {
     /// narrow array to 64-bit tags first, once and for good.
     fn set(&mut self, w: usize, tag: u64) {
         if let Tags::Narrow(tags) = self {
-            match u32::try_from(tag) {
-                Ok(t) if t != u32::MAX => {
-                    tags[w] = t;
-                    return;
-                }
-                _ => {
-                    let wide = tags
-                        .iter()
-                        .map(|&t| {
-                            if t == u32::MAX {
-                                u64::MAX
-                            } else {
-                                u64::from(t)
-                            }
-                        })
-                        .collect();
-                    *self = Tags::Wide(wide);
-                }
+            if let Some(t) = narrow(tag) {
+                tags[w] = t;
+                return;
             }
+            // Each invalid marker becomes the wide one.
+            let wide = tags
+                .iter()
+                .map(|&t| narrow(t.into()).map_or(u64::MAX, u64::from))
+                .collect();
+            *self = Tags::Wide(wide);
         }
         if let Tags::Wide(tags) = self {
             tags[w] = tag;

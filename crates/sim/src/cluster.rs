@@ -67,7 +67,7 @@ impl<S: InstructionStream> ClusterSim<S> {
         if let Err(e) = config.validate() {
             panic!("invalid simulator configuration: {e}");
         }
-        // The LLC's tag array (512 KB for the paper's 4 MB LLC) is a
+        // The LLC's tag array (256 KB for the paper's 4 MB LLC) is a
         // point's largest block, and peak RSS on the sweeps follows it.
         // The LLC is built before the cores' buffers so its arrays can
         // reuse the space the previous point's left in this thread's

@@ -93,8 +93,8 @@ pub struct SharedLlc {
     /// index, `cores.next_power_of_two()` bits wide. A mask names only the
     /// cluster's cores, so the width holds it exactly.
     sharers: PackedBits,
-    /// Every core of the cluster.
-    all_cores: SharerMask,
+    /// The cluster's core count.
+    cores: u32,
     bank_free_ps: Vec<u64>,
     stats: LlcStats,
     pending_invalidations: Vec<Invalidation>,
@@ -118,7 +118,7 @@ impl SharedLlc {
         SharedLlc {
             array: SetAssocArray::new(cfg.cache),
             sharers: PackedBits::new(lines, cores.next_power_of_two()),
-            all_cores: SharerMask::MAX >> (SharerMask::BITS - cores),
+            cores,
             bank_free_ps: vec![0; cfg.banks as usize],
             cfg,
             stats: LlcStats::default(),
@@ -163,9 +163,17 @@ impl SharedLlc {
     ///
     /// `write` requests ownership: other sharers are invalidated (the
     /// invalidations are queued for the cluster to apply and the access
-    /// pays the coherence round-trip). `core` is one of the cluster's
-    /// cores: the crossbar port the caller traversed to get here.
+    /// pays the coherence round-trip).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is not one of the cluster's cores.
     pub fn access(&mut self, line_addr: u64, write: bool, core: u32, arrive_ps: u64) -> LlcAccess {
+        assert!(
+            core < self.cores,
+            "core {core} is outside this {}-core cluster",
+            self.cores
+        );
         let bank = self.bank_of(line_addr) as usize;
         let start = arrive_ps.max(self.bank_free_ps[bank]);
         let mut ready = start + self.cfg.bank_service_ps;
@@ -228,10 +236,11 @@ impl SharedLlc {
     ///
     /// Panics if `sharers` names a core the cluster does not have.
     pub fn install(&mut self, line_addr: u64, sharers: SharerMask) {
+        let all_cores = SharerMask::MAX >> (SharerMask::BITS - self.cores);
         assert!(
-            sharers & !self.all_cores == 0,
+            sharers & !all_cores == 0,
             "sharer mask {sharers:#b} names a core outside this {}-core cluster",
-            self.all_cores.count_ones()
+            self.cores
         );
         let (_, way) = self.array.access_way(line_addr, false);
         self.sharers.set(way, u64::from(sharers));
@@ -367,5 +376,11 @@ mod tests {
         let mut c = llc();
         c.install(0x40, 0b1111);
         c.install(0x80, 0b1_0000);
+    }
+
+    #[test]
+    #[should_panic(expected = "core 4 is outside this 4-core cluster")]
+    fn access_rejects_a_core_outside_the_cluster() {
+        llc().access(0x40, false, 4, 0);
     }
 }
