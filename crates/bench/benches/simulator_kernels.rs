@@ -65,46 +65,6 @@ fn bench_cycle_skip(c: &mut Criterion) {
     g.finish();
 }
 
-/// The parallel chip engine: a 4-cluster chip of dependent pointer
-/// chases at the nominal clock — the quiescent-stretch regime the DRAM
-/// epoch barrier can shard — run serial (`threads = 1`, the reference
-/// engine) and over 2/4 workers, on the naive per-cycle engine (with
-/// cycle-skip on, the quiescent stretches are skipped rather than
-/// ticked, so there is nothing left to fan out). Statistics are
-/// bit-identical at any thread count (the `parallel-chip` diffcheck pair
-/// enforces it); this group tracks what the barrier machinery actually
-/// buys. Today that is modest: the legality frontier `min(fill floor,
-/// E_core + L_min)` collapses epochs below the dispatch threshold
-/// whenever any core is active or a fill is imminent (see ROADMAP item 4
-/// for the planned per-cluster lookahead). `NTC_SIM_THREADS` applies the
-/// same knob to every figure binary.
-fn bench_parallel_chip(c: &mut Criterion) {
-    use ntc_sim::ChipSim;
-
-    let mut g = c.benchmark_group("parallel_chip");
-    g.sample_size(10);
-    const CYCLES: u64 = 20_000;
-    const CLUSTERS: u32 = 4;
-    g.throughput(Throughput::Elements(CYCLES));
-    for (name, threads) in [
-        ("chase_4cl_naive_serial", 1),
-        ("chase_4cl_naive_2threads", 2),
-        ("chase_4cl_naive_4threads", 4),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let mut chip = ChipSim::new(SimConfig::paper_cluster(2000.0), CLUSTERS, |cl, c| {
-                    PointerChaseStream::new(256 << 20, 0, u64::from(cl) * 4 + u64::from(c))
-                });
-                chip.set_cycle_skip(false);
-                chip.set_threads(threads);
-                black_box(chip.run(CYCLES))
-            })
-        });
-    }
-    g.finish();
-}
-
 /// The batched frequency ladder: five Web Search points measured cold
 /// per-point (five full warm-ups) versus one `measure_ladder` batch (one
 /// warm-up at the top frequency, DVFS-rebased down with short settle
@@ -203,7 +163,6 @@ criterion_group!(
     benches,
     bench_cluster,
     bench_cycle_skip,
-    bench_parallel_chip,
     bench_batched_ladder,
     bench_dram,
     bench_dram_deep_queue

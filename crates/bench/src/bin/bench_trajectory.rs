@@ -3,11 +3,11 @@
 //!
 //! Times the same kernel groups as the `simulator_kernels` Criterion
 //! bench — cluster cycles per workload class, the cycle-skip fast path
-//! against the naive loop across three clocks, the epoch-barrier
-//! parallel chip, the batched frequency ladder, and the DRAM scheduler
-//! in both the random and deep-queue regimes — with an `Instant`
-//! harness that runs every kernel [`REPS`] times, round-robin across the
-//! kernels so that host drift hits them all alike, then appends
+//! against the naive loop across three clocks, the batched frequency
+//! ladder, and the DRAM scheduler in both the random and deep-queue
+//! regimes — with an `Instant` harness that runs every kernel [`REPS`]
+//! times, round-robin across the kernels so that host drift hits them
+//! all alike, then appends
 //! `{commit, date, reps, groups}` to the `trajectory` array (creating it
 //! when absent). Each kernel's cell is `{"median": ms, "quartiles": [q1,
 //! q3]}`. The existing top-level baseline fields are left untouched, so
@@ -52,18 +52,6 @@ fn cycle_skip_kernel(mhz: f64, skip: bool) -> impl FnMut() {
         });
         sim.set_cycle_skip(skip);
         black_box(sim.run(20_000));
-    }
-}
-
-fn parallel_chip_kernel(threads: usize) -> impl FnMut() {
-    use ntc_sim::ChipSim;
-    move || {
-        let mut chip = ChipSim::new(SimConfig::paper_cluster(2000.0), 4, |cl, c| {
-            PointerChaseStream::new(256 << 20, 0, u64::from(cl) * 4 + u64::from(c))
-        });
-        chip.set_cycle_skip(false);
-        chip.set_threads(threads);
-        black_box(chip.run(20_000));
     }
 }
 
@@ -160,21 +148,6 @@ fn kernels() -> Vec<Kernel> {
             "cycle_skip",
             "memory_bound_nominal_naive_ms",
             Box::new(cycle_skip_kernel(2000.0, false)),
-        ),
-        (
-            "parallel_chip",
-            "chase_4cl_naive_serial_ms",
-            Box::new(parallel_chip_kernel(1)),
-        ),
-        (
-            "parallel_chip",
-            "chase_4cl_naive_2threads_ms",
-            Box::new(parallel_chip_kernel(2)),
-        ),
-        (
-            "parallel_chip",
-            "chase_4cl_naive_4threads_ms",
-            Box::new(parallel_chip_kernel(4)),
         ),
         (
             "batched_ladder",

@@ -1,4 +1,4 @@
-//! The seven fast/reference oracle pairs.
+//! The six fast/reference oracle pairs.
 //!
 //! Each pair runs the same [`CaseShape`] through an optimised path and a
 //! simple reference path and demands identical results — bit-identical
@@ -37,23 +37,17 @@ pub enum OraclePair {
     /// windowed-activity closure: summed window deltas must equal the
     /// cumulative counters exactly.
     EnergyProbe,
-    /// Epoch-barrier parallel chip engine (clusters on worker threads)
-    /// vs the serial interleaving, with the cycle-skip fast path both on
-    /// and off. Always drives a [`ChipSim`], heterogeneous when the case
-    /// generated one.
-    ParallelChip,
 }
 
 impl OraclePair {
     /// Every pair, in round-robin order.
-    pub const ALL: [OraclePair; 7] = [
+    pub const ALL: [OraclePair; 6] = [
         OraclePair::CycleSkip,
         OraclePair::DramSched,
         OraclePair::Telemetry,
         OraclePair::Sweep,
         OraclePair::Percentile,
         OraclePair::EnergyProbe,
-        OraclePair::ParallelChip,
     ];
 
     /// The CLI name (`--pair` value).
@@ -65,7 +59,6 @@ impl OraclePair {
             OraclePair::Sweep => "sweep",
             OraclePair::Percentile => "percentile",
             OraclePair::EnergyProbe => "energy-probe",
-            OraclePair::ParallelChip => "parallel-chip",
         }
     }
 
@@ -91,8 +84,6 @@ struct Knobs {
     reference_sched: bool,
     mutate: bool,
     probed: bool,
-    /// Worker threads for the chip engine (1 = serial reference).
-    threads: usize,
 }
 
 impl Default for Knobs {
@@ -102,7 +93,6 @@ impl Default for Knobs {
             reference_sched: false,
             mutate: false,
             probed: false,
-            threads: 1,
         }
     }
 }
@@ -169,7 +159,6 @@ fn run_shape_probed(
     if shape.use_chip {
         let mut sim = ChipSim::new_chip(shape.chip_config(), |cl, c| shape.stream(cl, c));
         sim.set_cycle_skip(k.cycle_skip);
-        sim.set_threads(k.threads);
         sim.set_reference_dram_scheduler(k.reference_sched);
         sim.set_dram_scheduler_mutation(k.mutate);
         if let Some(probe) = probe {
@@ -425,51 +414,6 @@ fn check_energy_probe(shape: &CaseShape, mutate: bool) -> Option<Divergence> {
     None
 }
 
-/// Runs the shape on a [`ChipSim`] regardless of `use_chip` — the
-/// parallel-chip pair is about the chip engine's epoch barrier, so even
-/// single-cluster cases drive it (a one-cluster chip still exercises the
-/// detach/replay machinery against the serial path).
-fn run_chip_shape(shape: &CaseShape, k: Knobs) -> (SimStats, SimStats) {
-    let mut sim = ChipSim::new_chip(shape.chip_config(), |cl, c| shape.stream(cl, c));
-    sim.set_cycle_skip(k.cycle_skip);
-    sim.set_threads(k.threads);
-    sim.set_reference_dram_scheduler(k.reference_sched);
-    sim.set_dram_scheduler_mutation(k.mutate);
-    drive(&mut sim, shape)
-}
-
-/// The parallel-chip oracle: the epoch-barrier threaded chip engine must
-/// be bit-identical to the serial interleaving — with the cycle-skip
-/// fast path on *and* off, since the worker lanes run skip logic against
-/// a detached DRAM and both variants must replay identically.
-fn check_parallel_chip(shape: &CaseShape, mutate: bool) -> Option<Divergence> {
-    for cycle_skip in [true, false] {
-        let knobs = Knobs {
-            cycle_skip,
-            mutate,
-            ..Knobs::default()
-        };
-        let parallel = run_chip_shape(
-            shape,
-            Knobs {
-                threads: 3,
-                ..knobs
-            },
-        );
-        let serial = run_chip_shape(shape, knobs);
-        if parallel != serial {
-            return Some(Divergence {
-                pair: OraclePair::ParallelChip,
-                detail: format!(
-                    "threaded chip (skip={cycle_skip}) not bit-identical: {}",
-                    describe(&parallel, &serial)
-                ),
-            });
-        }
-    }
-    None
-}
-
 /// Checks one oracle pair on one case. `mutate` injects the deliberate
 /// scheduler fault (see `DramSystem::set_scheduler_mutation`) into every
 /// *indexed*-scheduler run: only the [`OraclePair::DramSched`] pair
@@ -520,7 +464,6 @@ pub fn check(pair: OraclePair, shape: &CaseShape, mutate: bool) -> Option<Diverg
         OraclePair::Sweep => check_sweep(shape),
         OraclePair::Percentile => check_percentile(shape),
         OraclePair::EnergyProbe => check_energy_probe(shape, mutate),
-        OraclePair::ParallelChip => check_parallel_chip(shape, mutate),
     }
 }
 

@@ -30,7 +30,7 @@ pub struct DiffcheckOptions {
     pub max_cases: Option<u64>,
     /// Stop once this much wall-clock has elapsed (`None` = unbounded).
     pub budget: Option<Duration>,
-    /// Pairs to exercise; empty means all seven.
+    /// Pairs to exercise; empty means all six.
     pub pairs: Vec<OraclePair>,
     /// Inject the deliberate scheduler fault (harness self-test).
     pub mutate: bool,
@@ -234,7 +234,7 @@ mod tests {
         };
         let report = run(&opts);
         assert_eq!(report.cases, 10);
-        assert_eq!(report.tallies.len(), 7);
+        assert_eq!(report.tallies.len(), OraclePair::ALL.len());
         assert_eq!(report.tallies.iter().map(|t| t.cases).sum::<u64>(), 10);
     }
 

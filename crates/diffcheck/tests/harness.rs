@@ -7,14 +7,16 @@ use ntc_diffcheck::{run, DiffcheckOptions, OraclePair};
 
 #[test]
 fn clean_tree_is_divergence_free_across_all_pairs() {
+    // Three cases for every pair.
+    let cases = 3 * OraclePair::ALL.len() as u64;
     let opts = DiffcheckOptions {
         seed: 0xD1FF_C0DE,
-        max_cases: Some(21),
+        max_cases: Some(cases),
         shrink: false,
         ..DiffcheckOptions::default()
     };
     let report = run(&opts);
-    assert_eq!(report.cases, 21);
+    assert_eq!(report.cases, cases);
     assert!(
         report.clean(),
         "fast/reference divergences on a clean tree: {:#?}",
@@ -24,8 +26,8 @@ fn clean_tree_is_divergence_free_across_all_pairs() {
             .map(|d| (d.pair, &d.detail))
             .collect::<Vec<_>>()
     );
-    // Round-robin routing: every one of the seven pairs saw cases.
-    assert_eq!(report.tallies.len(), 7);
+    // Round-robin routing: every pair saw its three cases.
+    assert_eq!(report.tallies.len(), OraclePair::ALL.len());
     assert!(report.tallies.iter().all(|t| t.cases == 3));
 }
 

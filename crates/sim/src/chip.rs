@@ -23,42 +23,10 @@ use crate::dram::DramSystem;
 use crate::engine::{self, Lane, RunCtl};
 use crate::instr::InstructionStream;
 use crate::llc::{Invalidation, SharerMask};
-use crate::memsys::{DeferredDramOp, MemorySystem, SharedDram};
-use crate::probe::{Probe, ProbeSample};
+use crate::memsys::{MemorySystem, SharedDram};
+use crate::probe::Probe;
 use crate::stats::SimStats;
 use std::sync::{Arc, Mutex};
-
-/// Minimum total work (summed cap − cycle across clusters) for which an
-/// epoch is dispatched to worker threads; smaller epochs — the
-/// memory-active regime where DRAM traffic forces short horizons — run on
-/// the exact serial engine, which needs no horizon at all.
-const PARALLEL_EPOCH_MIN_CYCLES: u64 = 4096;
-
-/// Cycle budget (on the fastest unfinished clock) per serial fallback
-/// chunk between epoch re-plans.
-const SERIAL_EPOCH_CYCLES: u64 = 4096;
-
-/// One epoch's per-cluster cycle caps plus the dispatch inputs (see
-/// [`ChipSim::plan_epoch`]).
-struct EpochPlan {
-    /// Exclusive per-cluster cycle caps, all derived from one common
-    /// wall-clock frontier.
-    caps: Vec<u64>,
-    /// Total cycles of work the epoch covers, summed across clusters.
-    work: u64,
-    /// False when some cluster already sits at or past the frontier — the
-    /// fine-grained regime the serial fallback must handle.
-    parallel_ok: bool,
-}
-
-/// Worker-thread count from `NTC_SIM_THREADS` (default 1 = serial).
-fn threads_from_env() -> usize {
-    std::env::var("NTC_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
-}
 
 struct ChipCluster<S> {
     config: ClusterConfig,
@@ -80,9 +48,6 @@ pub struct ChipSim<S> {
     skipped_cycles: u64,
     inv_buf: Vec<Invalidation>,
     probe: Option<Box<dyn Probe>>,
-    /// Worker threads sharding clusters between DRAM epoch barriers;
-    /// 1 (the default) keeps the reference serial engine.
-    threads: usize,
 }
 
 impl<S: InstructionStream> ChipSim<S> {
@@ -132,23 +97,7 @@ impl<S: InstructionStream> ChipSim<S> {
             skipped_cycles: 0,
             inv_buf: Vec::new(),
             probe: None,
-            threads: threads_from_env(),
         }
-    }
-
-    /// Sets the worker-thread count for cluster sharding (clamped to at
-    /// least 1; also capped at the cluster count when running). The
-    /// default comes from `NTC_SIM_THREADS` (1 when unset). Statistics
-    /// are bit-identical at any thread count: workers only advance
-    /// DRAM-decoupled cluster state, and every DRAM interaction is
-    /// replayed serially at epoch barriers in the canonical serial order.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Attaches a telemetry probe, sampled on engine epochs (cycle-skip
@@ -249,23 +198,9 @@ impl<S: InstructionStream> ChipSim<S> {
     /// homogeneous chip all clusters cover the same wall-clock window; on
     /// a heterogeneous one slower clusters run longer in wall-clock terms
     /// (frequency sweeps measure fixed cycle windows per cluster, matching
-    /// the per-cluster measurement discipline).
-    ///
-    /// With more than one worker thread configured the window is cut into
-    /// DRAM epochs (see [`ChipSim::advance_parallel`]); the result is
-    /// bit-identical to the serial engine either way.
+    /// the per-cluster measurement discipline). All clusters interleave on
+    /// one thread inside [`engine::run_lanes`].
     fn advance(&mut self, cycles: u64) {
-        let threads = self.threads.min(self.clusters.len());
-        if threads <= 1 {
-            self.advance_serial(cycles);
-        } else {
-            self.advance_parallel(cycles, threads);
-        }
-    }
-
-    /// The reference path: all clusters interleave on one thread inside
-    /// [`engine::run_lanes`].
-    fn advance_serial(&mut self, cycles: u64) {
         let mut lanes: Vec<Lane<'_, S>> = self
             .clusters
             .iter_mut()
@@ -292,424 +227,6 @@ impl<S: InstructionStream> ChipSim<S> {
         for (cl, c) in self.clusters.iter_mut().zip(cycles_after) {
             cl.cycle = c;
         }
-    }
-
-    /// The epoch-barrier parallel path.
-    ///
-    /// Clusters couple only through the shared DRAM, so the window is cut
-    /// into *epochs*: per-cluster cycle caps chosen such that **no DRAM
-    /// event is observable by any cluster before its cap** —
-    ///
-    /// 1. a cluster's cap never passes its own earliest possible fill
-    ///    wake-up ([`MemorySystem::next_fill_wake_ps`], a floor that DRAM
-    ///    arrivals ordered later can only raise), and
-    /// 2. no cap passes `E + L_min`, where `E` is the earliest instant any
-    ///    core on the chip could leave quiescence and submit *new* DRAM
-    ///    traffic, and `L_min` is the minimum submit→pollable latency
-    ///    (crossbar there and back, CAS, burst) — so in-epoch traffic
-    ///    cannot produce an in-epoch-observable fill either.
-    ///
-    /// Within an epoch every cluster therefore evolves exactly as it
-    /// would under the serial interleaving, and the epochs can run on
-    /// worker threads with the DRAM detached. At the barrier the recorded
-    /// DRAM traffic is replayed in canonical `(boundary ps, cluster)`
-    /// order — the serial engine's own interleaving order — so scheduler
-    /// decisions, ticket numbering and completion times are bit-identical
-    /// to a serial run. Epochs too small to pay for thread fan-out (the
-    /// memory-active regime) fall back to exact serial chunks.
-    fn advance_parallel(&mut self, cycles: u64, threads: usize) {
-        let ends: Vec<u64> = self.clusters.iter().map(|cl| cl.cycle + cycles).collect();
-        let min_lat = self.min_submit_latency_ps();
-        self.sample_probe();
-        while let Some(plan) = self.plan_epoch(&ends, min_lat) {
-            if plan.parallel_ok && plan.work >= PARALLEL_EPOCH_MIN_CYCLES {
-                self.run_epoch_parallel(&plan.caps, threads);
-            } else {
-                self.run_epoch_serial(&ends);
-            }
-            self.sample_probe();
-        }
-    }
-
-    /// The minimum picoseconds between a core submitting a new memory
-    /// request and any resulting fill becoming pollable: the cheapest
-    /// crossbar hop each way plus the DRAM CAS latency and data burst.
-    /// Every real path through [`MemorySystem::submit`] pays at least
-    /// this (LLC bank service, queueing, precharge/activate and scheduling
-    /// delays only add to it).
-    fn min_submit_latency_ps(&self) -> u64 {
-        let traversal = self
-            .clusters
-            .iter()
-            .map(|cl| cl.config.xbar.traversal_ps)
-            .min()
-            .unwrap_or(0);
-        let d = &self.config.dram;
-        2 * traversal + u64::from(d.cl) * d.tck_ps + d.burst_ps()
-    }
-
-    /// Chooses this epoch's per-cluster cycle caps (exclusive), or `None`
-    /// when every cluster has reached its window end.
-    ///
-    /// Every cap derives from one **common wall-clock frontier** `F`:
-    /// `cap = min(F / period, window end)`. The floor division makes every
-    /// boundary key processed this epoch `<= F` while every op a cluster
-    /// can generate *after* its cap carries a key
-    /// `(cap + 1) * period > F` — so next-epoch traffic can never have to
-    /// interleave before anything already replayed, regardless of how the
-    /// clusters' clocks divide. (Per-lane cycle bounds — the old scheme —
-    /// violate exactly this on heterogeneous chips: a cycle count lands at
-    /// different wall-clock instants per cluster, and the lane that stops
-    /// early has its next ops ordered *after* slower lanes' later
-    /// boundaries.)
-    ///
-    /// `F` itself is the earliest instant anything could become observable
-    /// to a detached cluster:
-    ///
-    /// 1. the chip-wide fill-wake floor — the minimum over clusters of
-    ///    [`MemorySystem::next_fill_wake_ps`], a bound DRAM arrivals
-    ///    ordered later can only raise — covers fills of *already
-    ///    outstanding* reads, and
-    /// 2. `E + L_min` — the earliest instant any core could submit *new*
-    ///    DRAM traffic (pending coherence invalidations count as activity
-    ///    now; otherwise the per-core quiescence probe bounds it) plus the
-    ///    minimum submit-to-pollable latency — covers fills of reads
-    ///    submitted *during* the epoch.
-    ///
-    /// When some cluster already sits at or past the frontier
-    /// (`parallel_ok == false`) the regime is fine-grained interleaving
-    /// and the caller must fall back to an exact serial chunk.
-    fn plan_epoch(&self, ends: &[u64], min_lat_ps: u64) -> Option<EpochPlan> {
-        let mut earliest_traffic_ps = u64::MAX;
-        let mut fill_floor_ps = u64::MAX;
-        let mut any = false;
-        for (cl, &end) in self.clusters.iter().zip(ends) {
-            if cl.cycle >= end {
-                continue;
-            }
-            any = true;
-            let p = cl.config.core_period_ps();
-            if let Some(w) = cl.mem.next_fill_wake_ps() {
-                fill_floor_ps = fill_floor_ps.min(w);
-            }
-            let mut lane_ps = u64::MAX;
-            if cl.mem.has_pending_invalidations() {
-                lane_ps = cl.cycle.saturating_mul(p);
-            } else {
-                for core in &cl.cores {
-                    match core.quiescent_until(&cl.mem, cl.cycle, p) {
-                        None => {
-                            lane_ps = cl.cycle.saturating_mul(p);
-                            break;
-                        }
-                        Some(c) => lane_ps = lane_ps.min(c.saturating_mul(p)),
-                    }
-                }
-            }
-            earliest_traffic_ps = earliest_traffic_ps.min(lane_ps);
-        }
-        if !any {
-            return None;
-        }
-        let frontier_ps = fill_floor_ps.min(earliest_traffic_ps.saturating_add(min_lat_ps));
-        let mut caps = Vec::with_capacity(self.clusters.len());
-        let mut work = 0u64;
-        let mut parallel_ok = true;
-        for (cl, &end) in self.clusters.iter().zip(ends) {
-            if cl.cycle >= end {
-                caps.push(cl.cycle);
-                continue;
-            }
-            let p = cl.config.core_period_ps();
-            let cap = (frontier_ps / p).min(end);
-            if cap <= cl.cycle {
-                parallel_ok = false;
-            }
-            work += cap.saturating_sub(cl.cycle);
-            caps.push(cap.max(cl.cycle));
-        }
-        Some(EpochPlan {
-            caps,
-            work,
-            parallel_ok,
-        })
-    }
-
-    /// Runs one bounded chunk on the exact serial engine. The chunk bound
-    /// is a common wall-clock frontier (`floor`-divided into each lane's
-    /// clock) for the same ordering reason as the parallel caps — a
-    /// per-lane cycle bound would freeze fast clusters early and let slow
-    /// ones run the shared DRAM past them, diverging from the
-    /// uninterrupted serial interleaving. The window ends themselves are
-    /// exempt: they are the reference semantics (a lane frozen at its
-    /// window end freezes in a plain serial run too).
-    fn run_epoch_serial(&mut self, ends: &[u64]) {
-        let mut base_ps = u64::MAX;
-        let mut min_period = u64::MAX;
-        for (cl, &end) in self.clusters.iter().zip(ends) {
-            if cl.cycle >= end {
-                continue;
-            }
-            let p = cl.config.core_period_ps();
-            base_ps = base_ps.min(cl.cycle.saturating_mul(p));
-            min_period = min_period.min(p);
-        }
-        if base_ps == u64::MAX {
-            return;
-        }
-        let frontier_ps = base_ps.saturating_add(SERIAL_EPOCH_CYCLES.saturating_mul(min_period));
-        let mut lanes: Vec<Lane<'_, S>> = self
-            .clusters
-            .iter_mut()
-            .zip(ends)
-            .map(|(cl, &end)| {
-                let p = cl.config.core_period_ps();
-                Lane {
-                    cores: &mut cl.cores,
-                    streams: &mut cl.streams,
-                    mem: &mut cl.mem,
-                    period_ps: p,
-                    cycle: cl.cycle,
-                    end: end.min(frontier_ps / p).max(cl.cycle),
-                }
-            })
-            .collect();
-        self.skipped_cycles += engine::run_lanes(
-            &mut lanes,
-            &mut self.inv_buf,
-            RunCtl {
-                cycle_skip: self.cycle_skip,
-                skipped_base: self.skipped_cycles,
-                hook: None,
-            },
-        );
-        let cycles_after: Vec<u64> = lanes.iter().map(|l| l.cycle).collect();
-        drop(lanes);
-        for (cl, c) in self.clusters.iter_mut().zip(cycles_after) {
-            cl.cycle = c;
-        }
-    }
-
-    /// Runs one epoch on worker threads: detach every participating
-    /// cluster from the DRAM, advance each to its cap independently, then
-    /// replay the recorded DRAM traffic at the barrier.
-    fn run_epoch_parallel(&mut self, caps: &[u64], threads: usize) {
-        let starts: Vec<u64> = self.clusters.iter().map(|cl| cl.cycle).collect();
-        for (cl, &cap) in self.clusters.iter_mut().zip(caps) {
-            if cap > cl.cycle {
-                let p = cl.config.core_period_ps();
-                cl.mem.detach_dram(p, cap.saturating_mul(p));
-            }
-        }
-        let cycle_skip = self.cycle_skip;
-        let chunk = self.clusters.len().div_ceil(threads);
-        let skipped0 = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (cl_chunk, cap_chunk) in self.clusters.chunks_mut(chunk).zip(caps.chunks(chunk)) {
-                handles.push(scope.spawn(move || {
-                    let mut inv_buf: Vec<Invalidation> = Vec::new();
-                    let mut skipped = Vec::with_capacity(cl_chunk.len());
-                    for (cl, &cap) in cl_chunk.iter_mut().zip(cap_chunk) {
-                        if cap <= cl.cycle {
-                            skipped.push(0);
-                            continue;
-                        }
-                        let mut lanes = [Lane {
-                            cores: &mut cl.cores,
-                            streams: &mut cl.streams,
-                            mem: &mut cl.mem,
-                            period_ps: cl.config.core_period_ps(),
-                            cycle: cl.cycle,
-                            end: cap,
-                        }];
-                        let s = engine::run_lanes(
-                            &mut lanes,
-                            &mut inv_buf,
-                            RunCtl {
-                                cycle_skip,
-                                skipped_base: 0,
-                                hook: None,
-                            },
-                        );
-                        cl.cycle = lanes[0].cycle;
-                        skipped.push(s);
-                    }
-                    skipped
-                }));
-            }
-            let mut skipped0 = 0u64;
-            for (i, h) in handles.into_iter().enumerate() {
-                let s = h.join().expect("cluster worker panicked");
-                if i == 0 {
-                    skipped0 = s.first().copied().unwrap_or(0);
-                }
-            }
-            skipped0
-        });
-        // The skip diagnostic stays on cluster 0's clock, as in the
-        // serial engine.
-        self.skipped_cycles += skipped0;
-        self.replay_epoch(&starts, caps);
-    }
-
-    /// The epoch barrier: replays every cluster's recorded DRAM ops and
-    /// uncore tick boundaries against the shared DRAM in ascending
-    /// `(boundary ps, cluster)` order — exactly how the serial multi-clock
-    /// engine interleaves lane ticks — so the scheduler sees identical
-    /// traffic in identical order and produces identical completions.
-    fn replay_epoch(&mut self, starts: &[u64], caps: &[u64]) {
-        let n = self.clusters.len();
-        let ops: Vec<Vec<DeferredDramOp>> = self
-            .clusters
-            .iter_mut()
-            .map(|cl| cl.mem.reattach_dram())
-            .collect();
-        let periods: Vec<u64> = self
-            .clusters
-            .iter()
-            .map(|cl| cl.config.core_period_ps())
-            .collect();
-        let mut cyc: Vec<u64> = starts.to_vec();
-        let mut oi = vec![0usize; n];
-        loop {
-            // Next boundary to process: smallest ((cycle + 1) * period),
-            // ties to the lowest cluster index.
-            let mut li = usize::MAX;
-            let mut key = u64::MAX;
-            for i in 0..n {
-                if cyc[i] >= caps[i] {
-                    continue;
-                }
-                let k = (cyc[i] + 1) * periods[i];
-                if k < key {
-                    key = k;
-                    li = i;
-                }
-            }
-            if li == usize::MAX {
-                break;
-            }
-            // Fast-forward: with nothing queued at the DRAM a boundary
-            // tick is a no-op in the serial engine too (the scheduler
-            // early-returns), so jump every cursor to just below the next
-            // recorded op — but always tick each lane's *final* boundary,
-            // which drains any issued-but-undrained completions.
-            if self.dram.lock().unwrap().pending() == 0 {
-                let mut k_op = u64::MAX;
-                for i in 0..n {
-                    if let Some(op) = ops[i].get(oi[i]) {
-                        k_op = k_op.min(op.key_ps);
-                    }
-                }
-                if k_op > key {
-                    let mut moved = false;
-                    for i in 0..n {
-                        if cyc[i] >= caps[i] {
-                            continue;
-                        }
-                        let limit = k_op.min(caps[i] * periods[i]);
-                        let c_new = (limit.div_ceil(periods[i]) - 1).min(caps[i] - 1);
-                        if c_new > cyc[i] {
-                            cyc[i] = c_new;
-                            moved = true;
-                        }
-                    }
-                    if moved {
-                        continue;
-                    }
-                }
-            }
-            // Core-tick submits recorded against this boundary apply
-            // before its uncore tick, invalidation-drain write-backs
-            // after — mirroring the serial engine's within-boundary order.
-            while let Some(op) = ops[li].get(oi[li]) {
-                if op.key_ps != key || op.after_tick {
-                    break;
-                }
-                if op.write {
-                    self.clusters[li]
-                        .mem
-                        .replay_dram_write(op.line_addr, op.arrive_ps);
-                } else {
-                    self.clusters[li]
-                        .mem
-                        .replay_dram_read(op.line_addr, op.arrive_ps);
-                }
-                oi[li] += 1;
-            }
-            self.clusters[li].mem.tick(key);
-            while let Some(op) = ops[li].get(oi[li]) {
-                if op.key_ps != key {
-                    break;
-                }
-                debug_assert!(op.after_tick, "pre-tick op left behind at {key}");
-                if op.write {
-                    self.clusters[li]
-                        .mem
-                        .replay_dram_write(op.line_addr, op.arrive_ps);
-                } else {
-                    self.clusters[li]
-                        .mem
-                        .replay_dram_read(op.line_addr, op.arrive_ps);
-                }
-                oi[li] += 1;
-            }
-            cyc[li] += 1;
-        }
-        for (i, lane_ops) in ops.iter().enumerate() {
-            debug_assert_eq!(oi[i], lane_ops.len(), "unreplayed DRAM ops on cluster {i}");
-        }
-    }
-
-    /// Chip-side mirror of the engine's probe sampling, used between
-    /// epochs in parallel mode (workers run with no hook attached; energy
-    /// windows telescope, so any consistent sample set closes).
-    fn sample_probe(&mut self) {
-        let Some(probe) = self.probe.as_mut() else {
-            return;
-        };
-        let mut rob = 0u64;
-        let mut mshr = 0u64;
-        let (mut user_instrs, mut instrs, mut rob_full_cycles) = (0u64, 0u64, 0u64);
-        let (mut llc_hits, mut llc_misses, mut xbar_transfers) = (0u64, 0u64, 0u64);
-        for cl in &self.clusters {
-            for core in &cl.cores {
-                rob += core.rob_occupancy() as u64;
-                mshr += u64::from(core.in_flight_data());
-                let cs = core.stats();
-                user_instrs += cs.user_instrs;
-                instrs += cs.instrs();
-                rob_full_cycles += cs.rob_full_cycles;
-            }
-            let llc = cl.mem.llc_stats();
-            llc_hits += llc.hits;
-            llc_misses += llc.misses;
-            xbar_transfers += cl.mem.xbar_transfers();
-        }
-        let (dram_pending, dram_channel_depths, dram) = {
-            let d = self.dram.lock().unwrap();
-            (d.pending() as u64, d.channel_queue_depths(), d.stats())
-        };
-        let cycle = self.clusters[0].cycle;
-        probe.sample(ProbeSample {
-            cycle,
-            now_ps: cycle * self.clusters[0].config.core_period_ps(),
-            mshr_occupancy: mshr,
-            rob_occupancy: rob,
-            dram_pending,
-            dram_channel_depths,
-            dram_row_hits: dram.row_hits,
-            dram_row_misses: dram.row_misses,
-            skipped_cycles: self.skipped_cycles,
-            user_instrs,
-            instrs,
-            rob_full_cycles,
-            llc_hits,
-            llc_misses,
-            xbar_transfers,
-            dram_reads: dram.reads,
-            dram_writes: dram.writes,
-        });
     }
 
     /// Runs `cycles` core cycles on every cluster (each on its own clock)

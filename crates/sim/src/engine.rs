@@ -714,8 +714,7 @@ fn tick_lane<S: InstructionStream>(
     for inv in inv_buf.drain(..) {
         for c in 0..lane.cores.len() {
             if inv.cores & (1 << c as u32) != 0 && lane.cores[c].invalidate_l1d(inv.line_addr) {
-                lane.mem
-                    .drain_writeback(c as u32, inv.line_addr, now + period_ps);
+                lane.mem.writeback(c as u32, inv.line_addr, now + period_ps);
             }
         }
     }

@@ -108,9 +108,8 @@ impl Instr {
 ///
 /// Streams are infinite: the simulator pulls as many instructions as the
 /// measurement window consumes. Implementations should be cheap per call
-/// and deterministic for a fixed seed. Streams are `Send` so the chip
-/// engine can run clusters on worker threads between DRAM epoch barriers.
-pub trait InstructionStream: Send {
+/// and deterministic for a fixed seed.
+pub trait InstructionStream {
     /// Produces the next dynamic instruction.
     fn next_instr(&mut self) -> Instr;
 }

@@ -17,11 +17,8 @@ use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
 
 /// A DRAM system shared by several memory controllers (clusters on one
-/// chip). The lock is uncontended in practice: the serial engine advances
-/// one cluster at a time, and the epoch-parallel chip engine detaches
-/// every cluster from the DRAM before fanning out (worker threads only
-/// *read* frozen scheduler state; all mutation happens at the serial
-/// barrier replay).
+/// chip). The lock is uncontended: the engine advances one cluster at a
+/// time on one thread.
 pub type SharedDram = Arc<Mutex<DramSystem>>;
 
 /// Ticket identifying an outstanding memory request: an index into the
@@ -51,40 +48,6 @@ enum ReqState {
     Free,
 }
 
-/// One DRAM operation a *detached* cluster recorded instead of applying
-/// (see [`MemorySystem::detach_dram`]). The chip's epoch barrier replays
-/// these against the shared DRAM in canonical `(boundary, lane)` order —
-/// the same global order the serial multi-clock engine interleaves lane
-/// ticks in — so the scheduler sees byte-identical traffic.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DeferredDramOp {
-    /// The uncore tick boundary this op orders against, in picoseconds:
-    /// the `(cycle + 1) * period` key of the lane tick that produced it.
-    pub key_ps: u64,
-    /// Ops posted by the invalidation drain (L1 write-backs) happen
-    /// *after* the boundary's own uncore tick; core-tick submits before.
-    pub after_tick: bool,
-    /// DRAM write (LLC victim / write-back) vs read fill.
-    pub write: bool,
-    pub line_addr: u64,
-    pub arrive_ps: u64,
-}
-
-/// Detached-mode state: while a cluster runs inside a parallel epoch it
-/// must not touch the shared DRAM, so its would-be calls are recorded
-/// here for the barrier to replay.
-#[derive(Debug)]
-struct DetachedDram {
-    /// The cluster's clock period — turns a submit's `now_ps` into the
-    /// tick-boundary key it orders against.
-    period_ps: u64,
-    /// The epoch horizon in ps. No outstanding fill can become pollable
-    /// before it (that is what made the epoch legal), so it doubles as a
-    /// conservative stand-in for the fill-wake bound while detached.
-    horizon_ps: u64,
-    ops: Vec<DeferredDramOp>,
-}
-
 /// The cluster's uncore.
 #[derive(Debug)]
 pub struct MemorySystem {
@@ -108,9 +71,6 @@ pub struct MemorySystem {
     /// Recycled waiter lists for `by_line` (a fill completes → its list
     /// returns here → the next miss reuses it).
     waiter_pool: Vec<Vec<MemTicket>>,
-    /// `Some` while this cluster runs inside a parallel epoch: DRAM calls
-    /// are recorded, not applied (see [`MemorySystem::detach_dram`]).
-    detached: Option<DetachedDram>,
 }
 
 impl MemorySystem {
@@ -142,93 +102,18 @@ impl MemorySystem {
             prefetches: 0,
             completion_buf: Vec::new(),
             waiter_pool: Vec::new(),
-            detached: None,
         }
     }
 
-    /// Detaches this cluster from the shared DRAM for one parallel epoch:
-    /// until [`MemorySystem::reattach_dram`], every DRAM mutation this
-    /// uncore would perform is recorded as a [`DeferredDramOp`] instead,
-    /// and the probe bounds answer from `horizon_ps` (the epoch's legality
-    /// guarantee: no outstanding fill becomes pollable before it, so the
-    /// horizon is a valid — and maximal — fill-wake stand-in).
-    ///
-    /// While detached the cluster's cores, L1s, crossbar and LLC evolve
-    /// exactly as they would in the serial interleaving: all cross-cluster
-    /// coupling flows through the DRAM, and within the epoch no DRAM event
-    /// is observable.
-    pub(crate) fn detach_dram(&mut self, period_ps: u64, horizon_ps: u64) {
-        debug_assert!(self.detached.is_none(), "detach_dram while detached");
-        self.detached = Some(DetachedDram {
-            period_ps,
-            horizon_ps,
-            ops: Vec::new(),
-        });
-    }
-
-    /// Ends detached mode, returning the recorded DRAM ops for the barrier
-    /// to replay (empty and harmless if the cluster was never detached).
-    pub(crate) fn reattach_dram(&mut self) -> Vec<DeferredDramOp> {
-        self.detached.take().map(|d| d.ops).unwrap_or_default()
-    }
-
-    /// Barrier replay of a recorded read: allocates the real DRAM ticket
-    /// (in canonical order, so ticket numbering matches the serial engine)
-    /// and binds it to the line for the eventual completion drain.
-    pub(crate) fn replay_dram_read(&mut self, line_addr: u64, arrive_ps: u64) {
+    /// Posts a DRAM read fill and binds its ticket to the line for the
+    /// completion drain.
+    fn dram_read(&mut self, line_addr: u64, arrive_ps: u64) {
         let dram_ticket = self
             .dram
             .lock()
             .unwrap()
             .read_for(self.dram_owner, line_addr, arrive_ps);
         self.dram_to_line.insert(dram_ticket, line_addr);
-    }
-
-    /// Barrier replay of a recorded write.
-    pub(crate) fn replay_dram_write(&mut self, line_addr: u64, arrive_ps: u64) {
-        self.dram.lock().unwrap().write(line_addr, arrive_ps);
-    }
-
-    /// Posts a DRAM write, or records it when detached.
-    fn dram_write(&mut self, line_addr: u64, arrive_ps: u64, key_ps: u64, after_tick: bool) {
-        if let Some(d) = &mut self.detached {
-            d.ops.push(DeferredDramOp {
-                key_ps,
-                after_tick,
-                write: true,
-                line_addr,
-                arrive_ps,
-            });
-        } else {
-            self.dram.lock().unwrap().write(line_addr, arrive_ps);
-        }
-    }
-
-    /// Posts a DRAM read, or records it when detached (the ticket binding
-    /// then happens at barrier replay, keeping global ticket order).
-    fn dram_read(&mut self, line_addr: u64, arrive_ps: u64, key_ps: u64) {
-        if let Some(d) = &mut self.detached {
-            d.ops.push(DeferredDramOp {
-                key_ps,
-                after_tick: false,
-                write: false,
-                line_addr,
-                arrive_ps,
-            });
-        } else {
-            self.replay_dram_read(line_addr, arrive_ps);
-        }
-    }
-
-    /// The tick-boundary key a submit at `now_ps` orders against (the next
-    /// boundary strictly after `now_ps`; core ticks run at exact cycle
-    /// starts, so this is `(cycle + 1) * period`). Zero when attached —
-    /// the key is only meaningful for recorded ops.
-    fn submit_key(&self, now_ps: u64) -> u64 {
-        match &self.detached {
-            Some(d) => now_ps - now_ps % d.period_ps + d.period_ps,
-            None => 0,
-        }
     }
 
     /// A waiter list for a new outstanding fill, recycled when possible.
@@ -271,16 +156,15 @@ impl MemorySystem {
         }
 
         let write = matches!(kind, MemRequestKind::Store);
-        let key = self.submit_key(now_ps);
         let at_llc = self.xbar.traverse(core as usize, now_ps);
         let access = self.llc.access(line_addr, write, core, at_llc);
         if let Some(victim) = access.writeback {
-            self.dram_write(victim, access.ready_ps, key, false);
+            self.dram.lock().unwrap().write(victim, access.ready_ps);
         }
         if access.hit {
             self.requests[ticket as usize] = ReqState::Done(access.ready_ps + self.xbar_return_ps);
         } else {
-            self.dram_read(line_addr, access.ready_ps, key);
+            self.dram_read(line_addr, access.ready_ps);
             let mut waiters = self.new_waiters();
             waiters.push(ticket);
             self.by_line.insert(line_addr, waiters);
@@ -297,55 +181,27 @@ impl MemorySystem {
         if self.by_line.contains_key(&line_addr) {
             return; // already in flight
         }
-        let key = self.submit_key(now_ps);
         let at_llc = self.xbar.traverse(core as usize, now_ps);
         let access = self.llc.access(line_addr, false, core, at_llc);
         if access.hit {
             return; // already resident
         }
         if let Some(victim) = access.writeback {
-            self.dram_write(victim, access.ready_ps, key, false);
+            self.dram.lock().unwrap().write(victim, access.ready_ps);
         }
-        self.dram_read(line_addr, access.ready_ps, key);
+        self.dram_read(line_addr, access.ready_ps);
         // Open a merge point with no waiters of its own.
         let waiters = self.new_waiters();
         self.by_line.insert(line_addr, waiters);
         self.prefetches += 1;
     }
 
-    /// Posts a dirty-line write-back from an L1 (non-blocking). Called by
-    /// cores mid-cycle (L1 victim evictions), so when detached it orders
-    /// like a submit: before the next tick boundary.
+    /// Posts a dirty-line write-back from an L1 (non-blocking).
     pub fn writeback(&mut self, core: u32, line_addr: u64, now_ps: u64) {
-        let key = self.submit_key(now_ps);
-        self.writeback_keyed(core, line_addr, now_ps, key, false);
-    }
-
-    /// The engine's invalidation-drain write-back: posted right *after*
-    /// the uncore tick at boundary `now_ps`, so a recorded victim write
-    /// replays after that boundary's tick — unlike core-tick submits.
-    pub(crate) fn drain_writeback(&mut self, core: u32, line_addr: u64, now_ps: u64) {
-        debug_assert!(
-            self.detached
-                .as_ref()
-                .is_none_or(|d| now_ps.is_multiple_of(d.period_ps)),
-            "invalidation drains happen exactly at tick boundaries"
-        );
-        self.writeback_keyed(core, line_addr, now_ps, now_ps, true);
-    }
-
-    fn writeback_keyed(
-        &mut self,
-        core: u32,
-        line_addr: u64,
-        now_ps: u64,
-        key_ps: u64,
-        after_tick: bool,
-    ) {
         let line_addr = SetAssocArray::align(line_addr);
         let at_llc = self.xbar.traverse(core as usize, now_ps);
         if let Some(victim) = self.llc.writeback_from_l1(line_addr, at_llc) {
-            self.dram_write(victim, at_llc, key_ps, after_tick);
+            self.dram.lock().unwrap().write(victim, at_llc);
         }
     }
 
@@ -361,13 +217,6 @@ impl MemorySystem {
     /// Advances DRAM scheduling up to `until_ps` and resolves completed
     /// fills.
     pub fn tick(&mut self, until_ps: u64) {
-        // Detached clusters never advance the shared scheduler: the epoch
-        // barrier replays every boundary against the real DRAM, and the
-        // epoch's legality bound guarantees nothing could resolve for this
-        // cluster mid-epoch anyway.
-        if self.detached.is_some() {
-            return;
-        }
         let mut completed = std::mem::take(&mut self.completion_buf);
         completed.clear();
         {
@@ -427,12 +276,6 @@ impl MemorySystem {
     /// Earliest time DRAM could issue any queued command, or `None` when
     /// the queues are empty (see [`DramSystem::next_issue_ps`]).
     pub fn next_issue_ps(&self) -> Option<u64> {
-        // Detached: DRAM boundaries are regenerated wholesale at the
-        // barrier (tick is a no-op here), so there is nothing to replay
-        // locally and the issue bound is irrelevant within the epoch.
-        if self.detached.is_some() {
-            return None;
-        }
         self.dram.lock().unwrap().next_issue_ps()
     }
 
@@ -457,12 +300,6 @@ impl MemorySystem {
     /// provided the skip replays the uncore's per-cycle
     /// [`MemorySystem::tick`] boundaries.
     pub fn next_fill_wake_ps(&self) -> Option<u64> {
-        // Detached: the epoch horizon *is* the legality guarantee that no
-        // fill becomes pollable before it, so it stands in for the real
-        // bound and lets stalled clusters skip straight to their epoch end.
-        if let Some(d) = &self.detached {
-            return Some(d.horizon_ps);
-        }
         let mut dram = self.dram.lock().unwrap();
         let queued = dram.next_read_completion_ps();
         let undrained = dram.next_undrained_completion_ps(self.dram_owner);
