@@ -7,7 +7,6 @@ use ntc_diffcheck::{run, DiffcheckOptions, OraclePair};
 
 #[test]
 fn clean_tree_is_divergence_free_across_all_pairs() {
-    // Three cases for every pair.
     let cases = 3 * OraclePair::ALL.len() as u64;
     let opts = DiffcheckOptions {
         seed: 0xD1FF_C0DE,
