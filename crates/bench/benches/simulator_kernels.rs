@@ -3,7 +3,6 @@
 //! paper figures; they guard the harness's own performance.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ntc_sim::streams::PointerChaseStream;
 use ntc_sim::{ClusterSim, SimConfig};
 use ntc_workloads::{prewarm_cluster, CloudSuiteApp, ProfileStream, WorkloadProfile};
 use std::hint::black_box;
@@ -25,42 +24,6 @@ fn bench_cluster(c: &mut Criterion) {
                 black_box(sim.run(CYCLES))
             })
         });
-    }
-    g.finish();
-}
-
-/// The cycle-skip fast path's target regime — a cluster of pure
-/// dependent pointer chases, where every core spends most cycles with
-/// its ROB head blocked on a DRAM miss — benchmarked with the fast path
-/// on and off at three clocks below the sweep's 2 GHz nominal. The
-/// committed baseline lives in `BENCH_sim.json`. Skip benefit grows with
-/// core frequency because a fixed DRAM latency spans more core cycles:
-/// at near-threshold clocks a miss lasts only a handful of cycles, so
-/// there is little left to skip. The engine's skip governor measures
-/// exactly that payoff online (elided-replay cycles per probe) and
-/// suspends probing where it can't pay, so skip wins ~1.3× at nominal
-/// and sits at parity — not below it — at the low clocks.
-fn bench_cycle_skip(c: &mut Criterion) {
-    let mut g = c.benchmark_group("cycle_skip");
-    g.sample_size(10);
-    const CYCLES: u64 = 20_000;
-    g.throughput(Throughput::Elements(CYCLES));
-    for (name, mhz) in [
-        ("memory_bound_near_threshold", 500.0),
-        ("memory_bound_low_freq", 1000.0),
-        ("memory_bound_nominal", 2000.0),
-    ] {
-        for (mode, skip) in [("skip", true), ("naive", false)] {
-            g.bench_function(format!("{name}_{mode}"), |b| {
-                b.iter(|| {
-                    let mut sim = ClusterSim::new(SimConfig::paper_cluster(mhz), |i| {
-                        PointerChaseStream::new(256 << 20, 0, u64::from(i))
-                    });
-                    sim.set_cycle_skip(skip);
-                    black_box(sim.run(CYCLES))
-                })
-            });
-        }
     }
     g.finish();
 }
@@ -162,7 +125,6 @@ fn bench_dram_deep_queue(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_cluster,
-    bench_cycle_skip,
     bench_batched_ladder,
     bench_dram,
     bench_dram_deep_queue

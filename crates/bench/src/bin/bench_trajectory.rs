@@ -2,8 +2,7 @@
 //! `BENCH_sim.json`.
 //!
 //! Times the same kernel groups as the `simulator_kernels` Criterion
-//! bench — cluster cycles per workload class, the cycle-skip fast path
-//! against the naive loop across three clocks, the batched frequency
+//! bench — cluster cycles per workload class, the batched frequency
 //! ladder, and the DRAM scheduler in both the random and deep-queue
 //! regimes — with an `Instant` harness that runs every kernel [`REPS`]
 //! times, round-robin across the kernels so that host drift hits them
@@ -22,7 +21,6 @@
 //! bench-trajectory [--file PATH] [--dry-run]
 //! ```
 
-use ntc_sim::streams::PointerChaseStream;
 use ntc_sim::{ClusterSim, SimConfig};
 use ntc_workloads::{prewarm_cluster, CloudSuiteApp, ProfileStream, WorkloadProfile};
 use serde_json::Value;
@@ -41,16 +39,6 @@ fn cluster_kernel(app: CloudSuiteApp) -> impl FnMut() {
             ProfileStream::new(p.clone(), u64::from(core))
         });
         prewarm_cluster(&mut sim, &profile);
-        black_box(sim.run(20_000));
-    }
-}
-
-fn cycle_skip_kernel(mhz: f64, skip: bool) -> impl FnMut() {
-    move || {
-        let mut sim = ClusterSim::new(SimConfig::paper_cluster(mhz), |i| {
-            PointerChaseStream::new(256 << 20, 0, u64::from(i))
-        });
-        sim.set_cycle_skip(skip);
         black_box(sim.run(20_000));
     }
 }
@@ -118,36 +106,6 @@ fn kernels() -> Vec<Kernel> {
             "cluster_sim",
             "data_serving_20k_cycles_ms",
             Box::new(cluster_kernel(CloudSuiteApp::DataServing)),
-        ),
-        (
-            "cycle_skip",
-            "memory_bound_near_threshold_skip_ms",
-            Box::new(cycle_skip_kernel(500.0, true)),
-        ),
-        (
-            "cycle_skip",
-            "memory_bound_near_threshold_naive_ms",
-            Box::new(cycle_skip_kernel(500.0, false)),
-        ),
-        (
-            "cycle_skip",
-            "memory_bound_low_freq_skip_ms",
-            Box::new(cycle_skip_kernel(1000.0, true)),
-        ),
-        (
-            "cycle_skip",
-            "memory_bound_low_freq_naive_ms",
-            Box::new(cycle_skip_kernel(1000.0, false)),
-        ),
-        (
-            "cycle_skip",
-            "memory_bound_nominal_skip_ms",
-            Box::new(cycle_skip_kernel(2000.0, true)),
-        ),
-        (
-            "cycle_skip",
-            "memory_bound_nominal_naive_ms",
-            Box::new(cycle_skip_kernel(2000.0, false)),
         ),
         (
             "batched_ladder",

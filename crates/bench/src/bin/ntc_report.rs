@@ -8,7 +8,6 @@
 //! * the top line — UIPS, total server energy, QoS p99 sojourn;
 //! * the per-component energy breakdown (windowed vs analytic, with the
 //!   closure error per frequency);
-//! * skip efficacy — skipped vs ticked cycles per simulated frequency;
 //! * measurement-cache and LLC hit/miss counters.
 //!
 //! Exits non-zero when any run's windowed-vs-analytic energy closure
@@ -135,27 +134,6 @@ fn print_energy(runs: &[&Value], windows: &[&Value], tolerance: f64) -> bool {
     }
     println!("  {:>15}  {total:>12.4} J", "total");
 
-    println!("\nSkip efficacy (cycle-skip fast path per frequency)");
-    println!(
-        "  {:>8}  {:>12}  {:>12}  {:>7}",
-        "MHz", "skipped", "ticked", "ratio"
-    );
-    for run in runs {
-        let cycles = f(run, "cycles");
-        let skipped = f(run, "skipped_cycles");
-        println!(
-            "  {:>8.0}  {:>12.0}  {:>12.0}  {:>6.1} %",
-            f(run, "mhz"),
-            skipped,
-            f(run, "ticked_cycles"),
-            if cycles > 0.0 {
-                100.0 * skipped / cycles
-            } else {
-                0.0
-            },
-        );
-    }
-
     if !windows.is_empty() {
         let peak = windows.iter().map(|w| f(w, "server_w")).fold(0.0, f64::max);
         let lowest = windows
@@ -217,22 +195,6 @@ fn print_metrics(metrics: &[Value]) {
             0.0
         };
         println!("  {label:>17}: {hits} hits / {misses} misses ({rate:.1} % hit rate)");
-    }
-
-    if let (Some(skipped), Some(ticked)) = (
-        counter(metrics, "sim.skipped_cycles"),
-        counter(metrics, "sim.ticked_cycles"),
-    ) {
-        let total = skipped + ticked;
-        println!(
-            "  {:>17}: {skipped} skipped / {ticked} ticked ({:.1} % skipped)",
-            "engine cycles",
-            if total > 0 {
-                100.0 * skipped as f64 / total as f64
-            } else {
-                0.0
-            },
-        );
     }
 }
 

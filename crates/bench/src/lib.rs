@@ -320,14 +320,11 @@ impl TelemetryRun {
             let windowed = run.windowed.total(Scope::Server).0;
             let analytic = run.analytic.total(Scope::Server).0;
             let mut line = format!(
-                "{{\"kind\":\"run\",\"mhz\":{},\"cycles\":{},\"ticked_cycles\":{},\
-                 \"skipped_cycles\":{},\"windows\":{},\"coalesced\":{},\
-                 \"windowed_server_j\":{:e},\"analytic_server_j\":{:e},\
+                "{{\"kind\":\"run\",\"mhz\":{},\"cycles\":{},\"windows\":{},\
+                 \"coalesced\":{},\"windowed_server_j\":{:e},\"analytic_server_j\":{:e},\
                  \"closure_error\":{:e},\"mean_server_w\":{},\"uips\":{:e}",
                 run.mhz,
                 run.cycles,
-                run.cycles - run.skipped_cycles,
-                run.skipped_cycles,
                 run.windows.len(),
                 run.coalesced,
                 windowed,
@@ -345,14 +342,13 @@ impl TelemetryRun {
                 let p = &w.window.power;
                 lines.push(format!(
                     "{{\"kind\":\"window\",\"mhz\":{},\"start_s\":{:e},\"end_s\":{:e},\
-                     \"cycles\":{},\"skipped_cycles\":{},\"uips\":{:e},\
+                     \"cycles\":{},\"uips\":{:e},\
                      \"cores_w\":{},\"llc_w\":{},\"xbar_w\":{},\"io_w\":{},\"dram_w\":{},\
                      \"server_w\":{},\"server_j\":{:e}}}",
                     run.mhz,
                     w.window.start.0,
                     w.window.end.0,
                     w.cycles,
-                    w.skipped_cycles,
                     w.window.uips,
                     p.cores().0,
                     p.llc.0,
@@ -391,13 +387,12 @@ impl TelemetryRun {
             }
             eprintln!(
                 "telemetry: energy {:.0} MHz: {} windows, {:.3} J windowed vs {:.3} J analytic \
-                 (closure {:.2e}), skip ratio {:.2}",
+                 (closure {:.2e})",
                 run.mhz,
                 run.windows.len(),
                 windowed,
                 analytic,
                 run.closure_error(),
-                run.skip_ratio(),
             );
         }
         ntc_telemetry::push_events(rails);

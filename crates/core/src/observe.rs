@@ -57,28 +57,6 @@ pub struct RunActivity {
     pub coalesced: u64,
 }
 
-impl RunActivity {
-    /// Cycles the cycle-skip fast path jumped during the run (summed
-    /// from the windows, so it closes exactly).
-    pub fn skipped_cycles(&self) -> u64 {
-        self.windows.iter().map(|w| w.skipped_cycles).sum()
-    }
-
-    /// Cycles the engine actually ticked.
-    pub fn ticked_cycles(&self) -> u64 {
-        self.cycles - self.skipped_cycles()
-    }
-
-    /// Fraction of run cycles the fast path skipped.
-    pub fn skip_ratio(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.skipped_cycles() as f64 / self.cycles as f64
-        }
-    }
-}
-
 // The process-wide energy sink. Armed measurements deposit their
 // RunActivity here; the sweep fans measurements out over worker threads,
 // so the buffer is a mutex, and runs land in completion order (sort by
@@ -172,8 +150,6 @@ pub struct WindowEnergy {
     pub window: PowerWindow,
     /// Window width in reference-clock cycles.
     pub cycles: u64,
-    /// Cycles the fast path skipped inside the window.
-    pub skipped_cycles: u64,
     /// Server-scope energy of this window, joules.
     pub server_j: f64,
 }
@@ -186,8 +162,6 @@ pub struct RunEnergy {
     pub mhz: f64,
     /// Cycles in the measured region.
     pub cycles: u64,
-    /// Cycles the fast path skipped.
-    pub skipped_cycles: u64,
     /// Windows coalesced at the probe's buffer capacity.
     pub coalesced: u64,
     /// The windowed power/UIPS time series.
@@ -213,15 +187,6 @@ impl RunEnergy {
             }
         } else {
             ((w - a) / a).abs()
-        }
-    }
-
-    /// Fraction of run cycles the fast path skipped.
-    pub fn skip_ratio(&self) -> f64 {
-        if self.cycles == 0 {
-            0.0
-        } else {
-            self.skipped_cycles as f64 / self.cycles as f64
         }
     }
 
@@ -281,7 +246,6 @@ pub fn fold_run(
         windows.push(WindowEnergy {
             window,
             cycles: w.cycles(),
-            skipped_cycles: w.skipped_cycles,
             server_j: window.energy(Scope::Server).0,
         });
     }
@@ -297,7 +261,6 @@ pub fn fold_run(
     Ok(RunEnergy {
         mhz: run.mhz,
         cycles: run.cycles,
-        skipped_cycles: run.skipped_cycles(),
         coalesced: run.coalesced,
         windows,
         windowed,
@@ -348,7 +311,6 @@ mod tests {
             xbar_transfers: cycles / 8,
             dram_reads: cycles / 64,
             dram_writes: cycles / 256,
-            skipped_cycles: cycles / 4,
         }
     }
 
@@ -454,7 +416,6 @@ mod tests {
                 "component {name}: windowed {w} J vs analytic {a} J"
             );
         }
-        assert!((folded.skip_ratio() - 0.25).abs() < 1e-12);
         // The UIPS series is flat at the run's throughput.
         for we in &folded.windows {
             assert!((we.window.uips - folded.windows[0].window.uips).abs() < 1.0);

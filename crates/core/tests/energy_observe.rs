@@ -68,7 +68,6 @@ fn windowed_energy_closes_against_analytic_on_real_runs() {
         // The windows partition the run: cycle and time axes both close.
         let cycles: u64 = run.windows.iter().map(|w| w.cycles).sum();
         assert_eq!(cycles, run.cycles);
-        assert!(run.skipped_cycles <= run.cycles);
         assert!(run.windowed.elapsed.0 > 0.0);
         assert!(
             (run.windowed.elapsed.0 - run.analytic.elapsed.0).abs()

@@ -23,8 +23,7 @@ OPTIONS:
     --seed N         Master seed (decimal or 0x-hex). Default 0x5EED0001.
     --case M         Check only case index M (the repro path).
     --pair NAME      Restrict to one oracle pair; repeatable. Names:
-                     cycle-skip, dram-sched, telemetry, sweep, percentile,
-                     energy-probe.
+                     dram-sched, telemetry, sweep, percentile, energy-probe.
     --budget DUR     Wall-clock budget: 500ms, 30s, 10m. Default 30s.
     --cases K        Stop after K cases (overrides the default budget).
     --mutate         Inject the deliberate scheduler fault (self-test:
@@ -144,16 +143,19 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     for d in &report.divergences {
+        let (shrink_note, shape_label) = match d.shrink_runs {
+            Some(runs) => (format!("shrunk in {runs} re-runs"), "shrunk"),
+            None => ("not shrunk".to_string(), "case"),
+        };
         println!();
         println!(
-            "DIVERGENCE: pair {} at case {} (shrunk in {} re-runs)",
+            "DIVERGENCE: pair {} at case {} ({shrink_note})",
             d.pair.name(),
             d.case_index,
-            d.shrink_runs
         );
         println!("  {}", d.detail);
         println!(
-            "  shrunk: {} cluster(s) x {} core(s), {} DRAM channel(s) x {} bank(s), {} cycles",
+            "  {shape_label}: {} cluster(s) x {} core(s), {} DRAM channel(s) x {} bank(s), {} cycles",
             d.shrunk.clusters,
             d.shrunk.config.cores,
             d.shrunk.config.dram.channels,

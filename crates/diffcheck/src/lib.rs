@@ -5,11 +5,12 @@
 //! Differential fuzz harness for the simulator's fast paths.
 //!
 //! Every performance-critical path in this workspace is shadowed by a
-//! simple reference implementation: the cycle-skip engine by the naive
-//! tick loop, the indexed FR-FCFS scheduler by a scan-everything oracle,
-//! the probed simulator by a plain run, the parallel sweep by its serial
-//! twin, the power-of-two histogram by exact sorted percentiles, and the
-//! energy probe's windowed attribution by the cumulative run counters.
+//! simple reference implementation: the indexed FR-FCFS scheduler by a
+//! scan-everything oracle, the probed simulator by a plain run, the
+//! parallel sweep by its serial twin, the power-of-two histogram by exact
+//! sorted percentiles, and the energy probe's windowed attribution by the
+//! cumulative run counters. These five oracle pairs are what
+//! [`oracle::check`] runs.
 //! This crate turns that redundancy into a randomized checker:
 //!
 //! 1. [`CaseShape::generate`] derives an arbitrary-but-valid simulator

@@ -1,4 +1,4 @@
-//! The six fast/reference oracle pairs.
+//! The five fast/reference oracle pairs.
 //!
 //! Each pair runs the same [`CaseShape`] through an optimised path and a
 //! simple reference path and demands identical results — bit-identical
@@ -23,8 +23,6 @@ use serde::{Deserialize, Serialize};
 /// One fast/reference implementation pair under differential test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OraclePair {
-    /// Cycle-skip fast path vs the naive tick-every-cycle loop.
-    CycleSkip,
     /// Indexed FR-FCFS DRAM scheduler vs the scan-everything reference.
     DramSched,
     /// Probed/traced simulation vs a plain run (telemetry must be inert).
@@ -41,8 +39,7 @@ pub enum OraclePair {
 
 impl OraclePair {
     /// Every pair, in round-robin order.
-    pub const ALL: [OraclePair; 6] = [
-        OraclePair::CycleSkip,
+    pub const ALL: [OraclePair; 5] = [
         OraclePair::DramSched,
         OraclePair::Telemetry,
         OraclePair::Sweep,
@@ -53,7 +50,6 @@ impl OraclePair {
     /// The CLI name (`--pair` value).
     pub fn name(self) -> &'static str {
         match self {
-            OraclePair::CycleSkip => "cycle-skip",
             OraclePair::DramSched => "dram-sched",
             OraclePair::Telemetry => "telemetry",
             OraclePair::Sweep => "sweep",
@@ -78,23 +74,11 @@ pub struct Divergence {
 }
 
 /// Which switches a single simulator run flips.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Knobs {
-    cycle_skip: bool,
     reference_sched: bool,
     mutate: bool,
     probed: bool,
-}
-
-impl Default for Knobs {
-    fn default() -> Self {
-        Knobs {
-            cycle_skip: true,
-            reference_sched: false,
-            mutate: false,
-            probed: false,
-        }
-    }
 }
 
 fn drive<S>(sim: &mut S, shape: &CaseShape) -> (SimStats, SimStats)
@@ -158,7 +142,6 @@ fn run_shape_probed(
 ) -> (SimStats, SimStats) {
     if shape.use_chip {
         let mut sim = ChipSim::new_chip(shape.chip_config(), |cl, c| shape.stream(cl, c));
-        sim.set_cycle_skip(k.cycle_skip);
         sim.set_reference_dram_scheduler(k.reference_sched);
         sim.set_dram_scheduler_mutation(k.mutate);
         if let Some(probe) = probe {
@@ -167,7 +150,6 @@ fn run_shape_probed(
         drive(&mut sim, shape)
     } else {
         let mut sim = ClusterSim::new(shape.config, |c| shape.stream(0, c));
-        sim.set_cycle_skip(k.cycle_skip);
         sim.set_reference_dram_scheduler(k.reference_sched);
         sim.set_dram_scheduler_mutation(k.mutate);
         if let Some(probe) = probe {
@@ -422,20 +404,6 @@ fn check_energy_probe(shape: &CaseShape, mutate: bool) -> Option<Divergence> {
 /// identical, keeping mutation detection cleanly attributable.
 pub fn check(pair: OraclePair, shape: &CaseShape, mutate: bool) -> Option<Divergence> {
     match pair {
-        OraclePair::CycleSkip => check_sim_pair(
-            pair,
-            shape,
-            Knobs {
-                cycle_skip: true,
-                mutate,
-                ..Knobs::default()
-            },
-            Knobs {
-                cycle_skip: false,
-                mutate,
-                ..Knobs::default()
-            },
-        ),
         OraclePair::DramSched => check_sim_pair(
             pair,
             shape,

@@ -3,7 +3,8 @@
 //! [`run`] walks case indices from a single seed, round-robins them over
 //! the selected oracle pairs, and stops on a time budget, a case cap, or
 //! after collecting enough divergences. Each divergence is shrunk (see
-//! [`crate::shrink`]) and reported with a one-line repro command.
+//! [`crate::shrink`]) unless shrinking is off, and reported with a
+//! one-line repro command.
 
 use crate::case::CaseShape;
 use crate::oracle::{check, OraclePair};
@@ -30,7 +31,7 @@ pub struct DiffcheckOptions {
     pub max_cases: Option<u64>,
     /// Stop once this much wall-clock has elapsed (`None` = unbounded).
     pub budget: Option<Duration>,
-    /// Pairs to exercise; empty means all six.
+    /// Pairs to exercise; empty means all five.
     pub pairs: Vec<OraclePair>,
     /// Inject the deliberate scheduler fault (harness self-test).
     pub mutate: bool,
@@ -66,7 +67,7 @@ pub struct PairTally {
     pub divergences: u64,
 }
 
-/// One shrunk, reportable divergence.
+/// One reportable divergence, shrunk unless shrinking was off.
 #[derive(Debug, Clone, Serialize)]
 pub struct DivergenceReport {
     /// Harness seed.
@@ -77,10 +78,11 @@ pub struct DivergenceReport {
     pub pair: OraclePair,
     /// First-difference description (from the shrunk case).
     pub detail: String,
-    /// The minimal still-failing shape.
+    /// The minimal still-failing shape, or the failing case as generated
+    /// when shrinking was off.
     pub shrunk: CaseShape,
-    /// Oracle re-runs the shrinker spent.
-    pub shrink_runs: u32,
+    /// Oracle re-runs the shrinker spent; `None` when shrinking was off.
+    pub shrink_runs: Option<u32>,
 }
 
 impl DivergenceReport {
@@ -190,9 +192,10 @@ pub fn run(opts: &DiffcheckOptions) -> Report {
         };
         tallies[slot].divergences += 1;
         let (shrunk, shrink_runs) = if opts.shrink {
-            shrink(&shape, pair, opts.mutate, SHRINK_BUDGET_RUNS)
+            let (shrunk, runs) = shrink(&shape, pair, opts.mutate, SHRINK_BUDGET_RUNS);
+            (shrunk, Some(runs))
         } else {
-            (shape.clone(), 0)
+            (shape.clone(), None)
         };
         // Re-describe on the shrunk case so the detail matches the shape
         // the report carries; fall back to the original description if
@@ -257,11 +260,31 @@ mod tests {
             pair: OraclePair::DramSched,
             detail: String::new(),
             shrunk: CaseShape::generate(7, 12),
-            shrink_runs: 0,
+            shrink_runs: Some(0),
         };
         assert_eq!(
             r.repro_command(),
             "ntc-diffcheck --seed 7 --case 12 --pair dram-sched"
         );
+    }
+
+    #[test]
+    fn an_unshrunk_divergence_reports_the_case_as_generated() {
+        let opts = DiffcheckOptions {
+            seed: 0xBAD_5EF0,
+            max_cases: Some(40),
+            pairs: vec![OraclePair::DramSched],
+            mutate: true,
+            shrink: false,
+            max_divergences: 1,
+            ..DiffcheckOptions::default()
+        };
+        let report = run(&opts);
+        let d = report
+            .divergences
+            .first()
+            .expect("the planted scheduler fault diverges");
+        assert_eq!(d.shrink_runs, None);
+        assert_eq!(d.shrunk, CaseShape::generate(opts.seed, d.case_index));
     }
 }

@@ -73,12 +73,12 @@ fn injected_scheduler_bug_is_caught_and_shrunk_small() {
 
 #[test]
 fn mutation_leaves_the_other_sim_pairs_identical() {
-    // The fault is applied to *both* sides of the cycle-skip and
-    // telemetry pairs, so divergence stays attributable to dram-sched.
+    // The fault is applied to *both* sides of the telemetry and
+    // energy-probe pairs, so divergence stays attributable to dram-sched.
     let opts = DiffcheckOptions {
         seed: 0xBAD_5EED,
         max_cases: Some(10),
-        pairs: vec![OraclePair::CycleSkip, OraclePair::Telemetry],
+        pairs: vec![OraclePair::Telemetry, OraclePair::EnergyProbe],
         mutate: true,
         shrink: false,
         ..DiffcheckOptions::default()

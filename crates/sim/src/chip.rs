@@ -20,7 +20,7 @@
 use crate::config::{ChipConfig, ClusterConfig, SimConfig};
 use crate::core::Core;
 use crate::dram::DramSystem;
-use crate::engine::{self, Lane, RunCtl};
+use crate::engine::{self, Lane};
 use crate::instr::InstructionStream;
 use crate::llc::{Invalidation, SharerMask};
 use crate::memsys::{MemorySystem, SharedDram};
@@ -44,8 +44,6 @@ pub struct ChipSim<S> {
     config: ChipConfig,
     clusters: Vec<ChipCluster<S>>,
     dram: SharedDram,
-    cycle_skip: bool,
-    skipped_cycles: u64,
     inv_buf: Vec<Invalidation>,
     probe: Option<Box<dyn Probe>>,
 }
@@ -93,16 +91,14 @@ impl<S: InstructionStream> ChipSim<S> {
             config,
             clusters,
             dram,
-            cycle_skip: true,
-            skipped_cycles: 0,
             inv_buf: Vec::new(),
             probe: None,
         }
     }
 
-    /// Attaches a telemetry probe, sampled on engine epochs (cycle-skip
-    /// wakeups and every [`crate::probe::PROBE_EPOCH_CYCLES`] ticked
-    /// cycles). Probes observe only — statistics are bit-identical with
+    /// Attaches a telemetry probe, sampled at run-window boundaries and
+    /// every [`crate::probe::PROBE_EPOCH_CYCLES`] cycles of cluster 0 (the
+    /// chip's reference clock). Probes observe only — statistics are bit-identical with
     /// or without one attached. Replaces any previous probe.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
         self.probe = Some(probe);
@@ -111,13 +107,6 @@ impl<S: InstructionStream> ChipSim<S> {
     /// Detaches the probe (if any), returning it.
     pub fn detach_probe(&mut self) -> Option<Box<dyn Probe>> {
         self.probe.take()
-    }
-
-    /// Enables or disables the stall-aware cycle-skip fast path (on by
-    /// default). Statistics are bit-identical either way; disabling forces
-    /// the naive per-cycle reference loop.
-    pub fn set_cycle_skip(&mut self, enabled: bool) {
-        self.cycle_skip = enabled;
     }
 
     /// The per-cluster configuration in effect.
@@ -130,11 +119,11 @@ impl<S: InstructionStream> ChipSim<S> {
         self.clusters.len()
     }
 
-    /// Cycles the fast path jumped over without ticking, counted on
-    /// cluster 0's clock — a diagnostic for how much the stall-aware skip
-    /// engages on a workload.
+    /// Always 0: the engine ticks every cycle. Kept only because the
+    /// end-to-end benchmark (`ntcbench`) still reads it for its
+    /// `sim.skipped_cycle_ratio` metric; it goes when that metric does.
     pub fn skipped_cycles(&self) -> u64 {
-        self.skipped_cycles
+        0
     }
 
     /// Installs data lines into one cluster-core's L1-D and that cluster's
@@ -213,15 +202,7 @@ impl<S: InstructionStream> ChipSim<S> {
                 end: cl.cycle + cycles,
             })
             .collect();
-        self.skipped_cycles += engine::run_lanes(
-            &mut lanes,
-            &mut self.inv_buf,
-            RunCtl {
-                cycle_skip: self.cycle_skip,
-                skipped_base: self.skipped_cycles,
-                hook: self.probe.as_mut(),
-            },
-        );
+        engine::run_lanes(&mut lanes, &mut self.inv_buf, self.probe.as_mut());
         let cycles_after: Vec<u64> = lanes.iter().map(|l| l.cycle).collect();
         drop(lanes);
         for (cl, c) in self.clusters.iter_mut().zip(cycles_after) {
@@ -243,7 +224,6 @@ impl<S: InstructionStream> ChipSim<S> {
     pub fn run_measured(&mut self, cycles: u64) -> SimStats {
         let _span = ntc_telemetry::trace::span_cat("sim", "sim.run_measured");
         let before = self.stats();
-        let skipped_before = self.skipped_cycles;
         self.advance(cycles);
         let cycle0 = self.clusters[0].cycle;
         // One lock for all three DRAM reads: guards born inside a struct
@@ -274,7 +254,7 @@ impl<S: InstructionStream> ChipSim<S> {
             cycles: cycle0 - before.cycles,
             wall_ps: (cycle0 - before.cycles) * self.clusters[0].config.core_period_ps(),
         };
-        crate::cluster::record_window_metrics(&window, self.skipped_cycles - skipped_before);
+        crate::cluster::record_window_metrics(&window);
         window
     }
 

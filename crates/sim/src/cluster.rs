@@ -7,7 +7,7 @@
 
 use crate::config::SimConfig;
 use crate::core::Core;
-use crate::engine::{self, Lane, RunCtl};
+use crate::engine::{self, Lane};
 use crate::instr::InstructionStream;
 use crate::llc::{Invalidation, SharerMask};
 use crate::memsys::MemorySystem;
@@ -19,8 +19,6 @@ use ntc_telemetry::{LazyCounter, LazyHistogram};
 // entirely without the telemetry feature). Counters accumulate window
 // deltas across every measured run in the process; the histogram records
 // one high-water observation per window.
-static SIM_SKIPPED_CYCLES: LazyCounter = LazyCounter::new("sim.skipped_cycles");
-static SIM_TICKED_CYCLES: LazyCounter = LazyCounter::new("sim.ticked_cycles");
 static SIM_DRAM_ROW_HITS: LazyCounter = LazyCounter::new("sim.dram.row_hits");
 static SIM_DRAM_ROW_MISSES: LazyCounter = LazyCounter::new("sim.dram.row_misses");
 static SIM_LLC_HITS: LazyCounter = LazyCounter::new("sim.llc.hits");
@@ -30,9 +28,7 @@ static SIM_DRAM_QUEUE_HIGH_WATER: LazyHistogram = LazyHistogram::new("sim.dram.q
 /// Records the `sim.*` metrics for one measured window (no-op unless the
 /// telemetry runtime is compiled in and armed). Shared by
 /// [`ClusterSim::run_measured`] and [`crate::ChipSim::run_measured`].
-pub(crate) fn record_window_metrics(stats: &SimStats, skipped_delta: u64) {
-    SIM_SKIPPED_CYCLES.add(skipped_delta);
-    SIM_TICKED_CYCLES.add(stats.cycles.saturating_sub(skipped_delta));
+pub(crate) fn record_window_metrics(stats: &SimStats) {
     SIM_DRAM_ROW_HITS.add(stats.dram.row_hits);
     SIM_DRAM_ROW_MISSES.add(stats.dram.row_misses);
     SIM_LLC_HITS.add(stats.llc.hits);
@@ -48,8 +44,6 @@ pub struct ClusterSim<S> {
     streams: Vec<S>,
     mem: MemorySystem,
     cycle: u64,
-    cycle_skip: bool,
-    skipped_cycles: u64,
     inv_buf: Vec<Invalidation>,
     probe: Option<Box<dyn Probe>>,
 }
@@ -85,16 +79,14 @@ impl<S: InstructionStream> ClusterSim<S> {
             cores,
             streams,
             cycle: 0,
-            cycle_skip: true,
-            skipped_cycles: 0,
             inv_buf: Vec::new(),
             probe: None,
         }
     }
 
-    /// Attaches a telemetry probe, sampled on engine epochs (cycle-skip
-    /// wakeups and every [`crate::probe::PROBE_EPOCH_CYCLES`] ticked
-    /// cycles). Probes observe only — statistics are bit-identical with
+    /// Attaches a telemetry probe, sampled at run-window boundaries and
+    /// every [`crate::probe::PROBE_EPOCH_CYCLES`] cycles. Probes observe
+    /// only — statistics are bit-identical with
     /// or without one attached. Replaces any previous probe.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
         self.probe = Some(probe);
@@ -103,14 +95,6 @@ impl<S: InstructionStream> ClusterSim<S> {
     /// Detaches the probe (if any), returning it.
     pub fn detach_probe(&mut self) -> Option<Box<dyn Probe>> {
         self.probe.take()
-    }
-
-    /// Enables or disables the stall-aware cycle-skip fast path (on by
-    /// default). Disabling it forces the naive per-cycle loop — the
-    /// reference the differential tests compare against; statistics are
-    /// bit-identical either way.
-    pub fn set_cycle_skip(&mut self, enabled: bool) {
-        self.cycle_skip = enabled;
     }
 
     /// The configuration in effect.
@@ -123,10 +107,11 @@ impl<S: InstructionStream> ClusterSim<S> {
         self.cycle
     }
 
-    /// Cycles the fast path jumped over without ticking — a diagnostic
-    /// for how much the stall-aware skip engages on a workload.
+    /// Always 0: the engine ticks every cycle. Kept only because the
+    /// end-to-end benchmark (`ntcbench`) still reads it for its
+    /// `sim.skipped_cycle_ratio` metric; it goes when that metric does.
     pub fn skipped_cycles(&self) -> u64 {
-        self.skipped_cycles
+        0
     }
 
     /// Lowers the core clock in place — a DVFS transition between
@@ -226,14 +211,10 @@ impl<S: InstructionStream> ClusterSim<S> {
             cycle: self.cycle,
             end: self.cycle + cycles,
         };
-        self.skipped_cycles += engine::run_lanes(
+        engine::run_lanes(
             std::slice::from_mut(&mut lane),
             &mut self.inv_buf,
-            RunCtl {
-                cycle_skip: self.cycle_skip,
-                skipped_base: self.skipped_cycles,
-                hook: self.probe.as_mut(),
-            },
+            self.probe.as_mut(),
         );
         self.cycle = lane.cycle;
     }
@@ -262,7 +243,6 @@ impl<S: InstructionStream> ClusterSim<S> {
     pub fn run_measured(&mut self, cycles: u64) -> SimStats {
         let _span = ntc_telemetry::trace::span_cat("sim", "sim.run_measured");
         let before = self.stats();
-        let skipped_before = self.skipped_cycles;
         self.advance(cycles);
         let window = SimStats {
             cores: self
@@ -280,7 +260,7 @@ impl<S: InstructionStream> ClusterSim<S> {
             cycles: self.cycle - before.cycles,
             wall_ps: (self.cycle - before.cycles) * self.config.core_period_ps(),
         };
-        record_window_metrics(&window, self.skipped_cycles - skipped_before);
+        record_window_metrics(&window);
         window
     }
 
@@ -459,6 +439,50 @@ mod tests {
             ComputeStream::new(0.002)
         });
         sim.rebase_frequency(1500.0);
+    }
+
+    /// Write-sharing stream: stores walk a small shared region so ownership
+    /// transfers generate invalidations naming high core indices.
+    struct SharedWriter {
+        count: u64,
+        core: u64,
+    }
+
+    impl InstructionStream for SharedWriter {
+        fn next_instr(&mut self) -> crate::Instr {
+            self.count += 1;
+            let pc = 0x50_000 + (self.count % 64) * 4;
+            if self.count % 3 == 0 {
+                // 64 shared lines, offset per core so every core both owns
+                // and loses lines.
+                crate::Instr::store(pc, ((self.count + self.core * 7) % 64) * 64)
+            } else {
+                crate::Instr::alu(pc)
+            }
+        }
+    }
+
+    #[test]
+    fn sixteen_core_cluster_does_not_overflow_sharer_mask() {
+        // Regression: SharerMask was u8, so `1 << core` panicked (debug) or
+        // silently wrapped (release) for cores >= 8.
+        let mut cfg = SimConfig::paper_cluster(1000.0);
+        cfg.cores = 16;
+        let mut sim = ClusterSim::new(cfg, |i| SharedWriter {
+            count: 0,
+            core: u64::from(i),
+        });
+        // Mark a line shared by the highest cores, then run write traffic
+        // that invalidates it and transfers ownership among all 16 cores.
+        sim.prewarm_llc([0, 64, 128], 0xFFFF); // shared by all 16 cores
+        sim.prewarm_llc([192], 1 << 15); // owned by core 15 alone
+        let stats = sim.run(4_000);
+        assert_eq!(stats.cores.len(), 16);
+        assert!(
+            stats.llc.invalidations > 0,
+            "write sharing must generate invalidations"
+        );
+        assert!(stats.user_instrs() > 0);
     }
 
     #[test]

@@ -48,7 +48,6 @@ enum Stage {
 struct RobEntry {
     op: OpClass,
     addr: u64,
-    dep_seq: Option<u64>,
     is_user: bool,
     stage: Stage,
 }
@@ -314,7 +313,6 @@ impl Core {
         let empty = RobEntry {
             op: OpClass::IntAlu,
             addr: 0,
-            dep_seq: None,
             is_user: true,
             stage: Stage::Waiting,
         };
@@ -459,9 +457,8 @@ impl Core {
         }
     }
 
-    /// Data misses currently in flight (MSHR occupancy). The engine uses a
-    /// rise across a tick as a stall hint: a core that just launched a
-    /// miss is likely about to block on it.
+    /// Data misses currently in flight (MSHR occupancy) — a
+    /// telemetry-probe diagnostic.
     pub(crate) fn in_flight_data(&self) -> u32 {
         self.outstanding_data
     }
@@ -470,161 +467,6 @@ impl Core {
     /// diagnostic for how window-limited the workload's MLP is.
     pub fn rob_occupancy(&self) -> usize {
         self.rob_len()
-    }
-
-    /// A cheap progress fingerprint: the sum of the monotonic work
-    /// counters plus the MSHR occupancy (which drops when a fill is
-    /// consumed). Equal fingerprints around a tick mean the tick made no
-    /// visible progress; the engine uses that to decide when probing for
-    /// a cycle skip is worth the cost. The fingerprint is a heuristic
-    /// only — a change it fails to see costs a wasted probe (which then
-    /// reports the core active), never correctness.
-    pub(crate) fn activity_signature(&self) -> u64 {
-        let s = &self.stats;
-        s.user_instrs
-            + s.os_instrs
-            + s.dispatched
-            + s.l1d_accesses
-            + s.l1d_writebacks
-            + s.l1i_misses
-            + s.branch_redirects
-            + u64::from(self.outstanding_data)
-    }
-
-    /// Probes whether this core can do anything at `cycle`, and if not,
-    /// when it next can.
-    ///
-    /// Returns `None` if the core is **active**: some pipeline stage would
-    /// change architectural or timing state this cycle (commit, a memory
-    /// fill becoming pollable, an issueable instruction, dispatch).
-    /// Returns `Some(c)` with `c > cycle` if every tick strictly before `c`
-    /// is a no-op apart from the per-tick statistics that
-    /// [`Core::skip_to`] compensates (`stats.cycles`, and
-    /// `rob_full_cycles` while fetch is unblocked with a full window).
-    /// Events the uncore owns (requests still waiting on DRAM scheduling)
-    /// are *not* counted here — the caller must bound the skip by
-    /// [`MemorySystem::next_fill_wake_ps`].
-    ///
-    /// `Some(u64::MAX)` means no core-side event is scheduled at all.
-    pub(crate) fn quiescent_until(
-        &self,
-        mem: &MemorySystem,
-        cycle: u64,
-        period_ps: u64,
-    ) -> Option<u64> {
-        // First core cycle at which `mem.poll(t, cycle * period)` succeeds.
-        let poll_cycle = |t: MemTicket| mem.ticket_done_ps(t).map(|done| done.div_ceil(period_ps));
-        let mut next = u64::MAX;
-        let rob_full = self.rob_len() >= self.cfg.rob_entries as usize;
-        // An in-order core with a load miss in flight cannot issue anything
-        // until the fill is polled — the window's waiting entries are inert
-        // no matter when their producers complete (the queue movements the
-        // skipped ticks would have made are lazy and replayed identically
-        // on resume).
-        let blocked_inorder = self.cfg.in_order && !self.in_flight_loads.is_empty();
-
-        // Fetch: an unblocked front end with window space dispatches every
-        // cycle. (Unblocked with a full window only increments
-        // `rob_full_cycles`, which `skip_to` batch-applies.)
-        if self.ifetch_miss.is_none() && self.redirect_on.is_none() && !rob_full {
-            if cycle >= self.fetch_stall_until {
-                return None;
-            }
-            next = next.min(self.fetch_stall_until);
-        }
-
-        // An I-fetch fill restarts the front end when it becomes pollable.
-        if let Some(t) = self.ifetch_miss {
-            match poll_cycle(t) {
-                Some(c) if c <= cycle => return None,
-                Some(c) => next = next.min(c),
-                None => {} // still queued in DRAM: uncore bound applies
-            }
-        }
-
-        for (idx, seq) in (self.rob_head..self.next_seq).enumerate() {
-            let e = &self.rob[self.sched.slot(seq)];
-            match e.stage {
-                Stage::Done { done_cycle } => {
-                    // Only the head commits; a non-head Done entry is inert
-                    // (consumers track it through the Waiting arm below).
-                    if idx == 0 {
-                        if done_cycle <= cycle {
-                            return None;
-                        }
-                        next = next.min(done_cycle);
-                    }
-                }
-                Stage::Executing { done_cycle } => {
-                    // Completes (and wakes dependents) at `done_cycle`; a
-                    // lazily un-rewritten stage past its completion is
-                    // inert unless it sits at the head (where commit pops
-                    // it one cycle after `done_cycle` — see `commit`).
-                    if done_cycle > cycle {
-                        next = next.min(done_cycle);
-                    } else if idx == 0 || done_cycle == cycle {
-                        return None;
-                    }
-                }
-                Stage::Memory { ticket } => match poll_cycle(ticket) {
-                    Some(c) if c <= cycle => return None,
-                    Some(c) => next = next.min(c),
-                    None => {} // still queued in DRAM: uncore bound applies
-                },
-                Stage::Waiting => {
-                    // A blocking load gates issue entirely: waiting entries
-                    // cannot act until its fill is polled, which the Memory
-                    // arm (or the uncore fill-wake bound) schedules.
-                    if blocked_inorder {
-                        continue;
-                    }
-                    // Mirrors `producer_ready`: a ready producer means this
-                    // entry issues now (or stays issue-eligible), so the
-                    // core is active.
-                    let d = e.dep_seq?;
-                    // Not in the window means committed, hence ready.
-                    let p = self.rob_entry(d)?;
-                    // A producer still waiting on memory schedules the
-                    // wake-up via its own arm above (or the uncore bound).
-                    if let Stage::Done { done_cycle } | Stage::Executing { done_cycle } = p.stage {
-                        if done_cycle <= cycle {
-                            return None;
-                        }
-                        next = next.min(done_cycle);
-                    }
-                }
-            }
-        }
-
-        // Background store fills release MSHRs when polled.
-        for &t in &self.pending_stores {
-            match poll_cycle(t) {
-                Some(c) if c <= cycle => return None,
-                Some(c) => next = next.min(c),
-                None => {}
-            }
-        }
-
-        Some(next)
-    }
-
-    /// Jumps the core's clock from `from` to `to` without ticking,
-    /// applying exactly the statistics the skipped ticks would have:
-    /// `stats.cycles` lands where the naive loop would leave it, and
-    /// `rob_full_cycles` accrues for every skipped cycle on which an
-    /// unblocked fetch would have found the window full. Only legal when
-    /// [`Core::quiescent_until`] returned `Some(c)` with `to <= c`.
-    pub(crate) fn skip_to(&mut self, from: u64, to: u64) {
-        if self.ifetch_miss.is_none()
-            && self.redirect_on.is_none()
-            && self.rob_len() >= self.cfg.rob_entries as usize
-        {
-            let start = from.max(self.fetch_stall_until);
-            if to > start {
-                self.stats.rob_full_cycles += to - start;
-            }
-        }
-        self.stats.cycles = to;
     }
 
     /// Instructions in the window.
@@ -867,7 +709,6 @@ impl Core {
             self.rob[self.sched.slot(seq)] = RobEntry {
                 op,
                 addr: instr.addr,
-                dep_seq,
                 is_user: instr.is_user,
                 stage: Stage::Waiting,
             };
@@ -919,6 +760,19 @@ mod tests {
     impl InstructionStream for DepChainStream {
         fn next_instr(&mut self) -> Instr {
             Instr::alu(0x1000).with_dep(1)
+        }
+    }
+
+    /// [`DepChainStream`] with each instruction's address set to its
+    /// sequence number, so a ROB entry names the instruction it holds.
+    struct NumberedChainStream(u64);
+    impl InstructionStream for NumberedChainStream {
+        fn next_instr(&mut self) -> Instr {
+            self.0 += 1;
+            Instr {
+                addr: self.0 - 1,
+                ..Instr::alu(0x1000).with_dep(1)
+            }
         }
     }
 
@@ -1075,7 +929,7 @@ mod tests {
         assert_eq!(core.rob.len(), 16);
         // A serial chain keeps the 12-entry window full while the head
         // walks round the 16-slot ring several times.
-        let mut stream = DepChainStream;
+        let mut stream = NumberedChainStream(0);
         let period = 1_000;
         for c in 0..200 {
             core.tick(&mut stream, &mut mem, c, c * period, period);
@@ -1086,8 +940,7 @@ mod tests {
             assert!(core.rob_entry(next).is_none());
             for seq in head..next {
                 let e = core.rob_entry(seq).expect("in-window entry");
-                // Each entry depends on its predecessor.
-                assert_eq!(e.dep_seq, seq.checked_sub(1));
+                assert_eq!(e.addr, seq, "the slot holds its own entry");
             }
         }
         assert!(core.rob_head > 3 * 16, "the head wrapped the ring");

@@ -37,13 +37,7 @@
 //!   they arrive (ticks must be time-monotone, which the engine
 //!   guarantees; debug builds assert it);
 //! * removed requests are deleted *lazily*: heap entries are validated
-//!   against the slab (by unique sequence number) at peek time;
-//! * the next-event bounds ([`DramSystem::next_issue_ps`],
-//!   [`DramSystem::next_read_completion_ps`]) are maintained per bank and
-//!   recomputed only for banks whose timing state changed since the last
-//!   query (enqueue, issue, or an activate moving the rank's
-//!   tRRD/tFAW window), with the per-request write-hazard rescan replaced
-//!   by per-`(bank, row)` minimum-arrival peeks.
+//!   against the slab (by unique sequence number) at peek time.
 //!
 //! The pre-index scan-everything scheduler is retained as a **reference
 //! oracle** ([`DramSystem::set_reference_scheduler`]); differential tests
@@ -167,40 +161,24 @@ fn bound(t: i64) -> u64 {
     t.max(0) as u64
 }
 
-/// Per-`(bank, row)` queues: the FR-FCFS pick structure plus the minimum
-/// arrival times the next-event bounds need. Heap entries are validated
-/// lazily against the slab — an issued request's entries are dropped the
-/// next time they surface at a peek.
+/// Per-`(bank, row)` queue: the FR-FCFS pick structure. Heap entries are
+/// validated lazily against the slab — an issued request's entries are
+/// dropped the next time they surface at a peek.
 #[derive(Debug, Default)]
 struct RowQ {
     /// Arrived requests of this row by sequence number — the "oldest row
     /// hit" candidate when the row is open.
     ready_by_seq: BinaryHeap<Reverse<(u64, u32)>>,
-    /// All queued reads of this row by arrival time (`(arrive, seq, slot)`).
-    reads_by_arrive: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// All queued writes of this row by arrival time.
-    writes_by_arrive: BinaryHeap<Reverse<(u64, u64, u32)>>,
-    /// Exact live read count (heaps may carry stale entries).
-    reads: u32,
-    /// Exact live write count.
-    writes: u32,
+    /// Exact live request count (the heap may carry stale entries).
+    queued: u32,
 }
 
-/// Per-bank index: live rows and the memoized next-event minima.
+/// Per-bank index: the bank's live rows.
 #[derive(Debug, Default)]
 struct BankIndex {
     rows: FxHashMap<u64, RowQ>,
     /// Live requests queued at this bank.
     queued: u32,
-    /// Whether the memoized minima must be recomputed (bank timing state
-    /// or queue membership changed).
-    dirty: bool,
-    /// Minimum [`earliest_start`] over the bank's queued requests.
-    issue_min: Option<u64>,
-    /// Minimum pre-bus completion term over the bank's queued reads
-    /// (including same-row write-hazard paths); the channel bound applies
-    /// `bus_free` and the burst on top.
-    read_min: Option<u64>,
 }
 
 #[derive(Debug)]
@@ -277,14 +255,9 @@ impl Channel {
         let bank = p.addr.bank as usize;
         let bix = &mut self.bank_ix[bank];
         bix.queued -= 1;
-        bix.dirty = true;
         let rq = bix.rows.get_mut(&p.addr.row).expect("row of live request");
-        if p.write {
-            rq.writes -= 1;
-        } else {
-            rq.reads -= 1;
-        }
-        if rq.reads + rq.writes == 0 {
+        rq.queued -= 1;
+        if rq.queued == 0 {
             bix.rows.remove(&p.addr.row);
         }
         if bix.queued == 0 {
@@ -376,112 +349,6 @@ fn peek_seq(
     None
 }
 
-/// Lazy peek of an `(arrive, seq, slot)` heap, returning the minimum live
-/// arrival time.
-fn peek_arrive(
-    heap: &mut BinaryHeap<Reverse<(u64, u64, u32)>>,
-    slots: &[Option<Pending>],
-) -> Option<u64> {
-    while let Some(&Reverse((arrive, seq, slot))) = heap.peek() {
-        if slot_live(slots, seq, slot) {
-            return Some(arrive);
-        }
-        heap.pop();
-    }
-    None
-}
-
-fn min_opt(cur: Option<u64>, v: u64) -> Option<u64> {
-    Some(cur.map_or(v, |c| c.min(v)))
-}
-
-/// Column/row latencies in picoseconds, precomputed for the bound math.
-#[derive(Clone, Copy)]
-struct BoundLat {
-    cl: u64,
-    trcd: u64,
-    trp: u64,
-}
-
-/// Recomputes a bank's memoized next-event minima in one pass over its
-/// live rows, using the per-row minimum arrival times.
-///
-/// `issue_min` folds `max(class readiness, min arrive)` per request class
-/// (row hit / conflict / closed bank) — equal to the minimum
-/// [`earliest_start`] over the bank's requests, because `max(base, ·)` is
-/// monotone in the arrival time. `read_min` is the matching minimum of the
-/// pre-bus read completion terms, including the same-`(bank, row)`
-/// write-hazard path for non-hit reads.
-fn recompute_bank(
-    bix: &mut BankIndex,
-    bank: &Bank,
-    act_win: u64,
-    slots: &[Option<Pending>],
-    lat: BoundLat,
-) {
-    let mut issue_min: Option<u64> = None;
-    let mut read_min: Option<u64> = None;
-    match bank.open_row {
-        Some(open) => {
-            for (&row, rq) in bix.rows.iter_mut() {
-                let r_arr = peek_arrive(&mut rq.reads_by_arrive, slots);
-                let w_arr = peek_arrive(&mut rq.writes_by_arrive, slots);
-                let a_arr = match (r_arr, w_arr) {
-                    (Some(r), Some(w)) => Some(r.min(w)),
-                    (r, None) => r,
-                    (None, w) => w,
-                };
-                if row == open {
-                    if let Some(a) = a_arr {
-                        issue_min = min_opt(issue_min, a.max(bank.cas_ready));
-                    }
-                    if let Some(r) = r_arr {
-                        read_min = min_opt(read_min, r.max(bank.cas_ready) + lat.cl);
-                    }
-                } else {
-                    if let Some(a) = a_arr {
-                        issue_min = min_opt(issue_min, a.max(bank.pre_ready));
-                    }
-                    if let Some(r) = r_arr {
-                        let mut own = r.max(bank.pre_ready) + lat.trp + lat.trcd + lat.cl;
-                        if let Some(w) = w_arr {
-                            // A same-bank/same-row write could open the
-                            // read's row first.
-                            own = own.min(w.max(bank.pre_ready) + lat.trcd + lat.cl);
-                        }
-                        read_min = min_opt(read_min, own);
-                    }
-                }
-            }
-        }
-        None => {
-            let base = bank.act_ready.max(act_win);
-            for rq in bix.rows.values_mut() {
-                let r_arr = peek_arrive(&mut rq.reads_by_arrive, slots);
-                let w_arr = peek_arrive(&mut rq.writes_by_arrive, slots);
-                let a_arr = match (r_arr, w_arr) {
-                    (Some(r), Some(w)) => Some(r.min(w)),
-                    (r, None) => r,
-                    (None, w) => w,
-                };
-                if let Some(a) = a_arr {
-                    issue_min = min_opt(issue_min, a.max(base));
-                }
-                if let Some(r) = r_arr {
-                    let mut own = r.max(base) + lat.trcd + lat.cl;
-                    if let Some(w) = w_arr {
-                        own = own.min(w.max(base) + lat.trcd + lat.cl);
-                    }
-                    read_min = min_opt(read_min, own);
-                }
-            }
-        }
-    }
-    bix.issue_min = issue_min;
-    bix.read_min = read_min;
-    bix.dirty = false;
-}
-
 /// Earliest time the *first command* of a request can issue.
 fn earliest_start(
     cfg: &DramTimingConfig,
@@ -529,12 +396,6 @@ pub struct DramSystem {
     /// Harness-validation fault: the indexed scheduler drops its row-hit
     /// preference (see [`DramSystem::set_scheduler_mutation`]).
     mutate_scheduler: bool,
-    /// Memoized [`DramSystem::next_issue_ps`] (`None` = recompute). The
-    /// bound is a pure function of the queues and bank/rank/bus state, so
-    /// it stays valid until a command is enqueued or issued.
-    next_issue_cache: Option<Option<u64>>,
-    /// Memoized [`DramSystem::next_read_completion_ps`], same lifecycle.
-    read_completion_cache: Option<Option<u64>>,
     /// High-water mark of executed [`DramSystem::tick`] arguments. The
     /// scheduler's clock never rewinds: a heterogeneous chip advances
     /// each cluster by a count of its *own* cycles per window, so at a
@@ -575,8 +436,6 @@ impl DramSystem {
             high_water: 0,
             reference: false,
             mutate_scheduler: false,
-            next_issue_cache: None,
-            read_completion_cache: None,
             now_ps: 0,
             walked_to: None,
         }
@@ -674,8 +533,6 @@ impl DramSystem {
         arrive: u64,
     ) {
         self.walked_to = None;
-        self.next_issue_cache = None;
-        self.read_completion_cache = None;
         let addr = self.map(line_addr);
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -691,16 +548,8 @@ impl DramSystem {
         chan.deferred.push(Reverse((arrive, seq, slot)));
         let bank = addr.bank as usize;
         let bix = &mut chan.bank_ix[bank];
-        let rq = bix.rows.entry(addr.row).or_default();
-        if write {
-            rq.writes_by_arrive.push(Reverse((arrive, seq, slot)));
-            rq.writes += 1;
-        } else {
-            rq.reads_by_arrive.push(Reverse((arrive, seq, slot)));
-            rq.reads += 1;
-        }
+        bix.rows.entry(addr.row).or_default().queued += 1;
         bix.queued += 1;
-        bix.dirty = true;
         if bix.queued == 1 {
             chan.active_pos[bank] = chan.active_banks.len() as u32;
             chan.active_banks.push(bank as u32);
@@ -712,8 +561,7 @@ impl DramSystem {
     }
 
     /// Number of requests still queued across all channels. O(1): the
-    /// count is maintained at enqueue/issue (this sits on the engine's
-    /// per-cycle probe path).
+    /// count is maintained at enqueue/issue.
     pub fn pending(&self) -> usize {
         self.queued
     }
@@ -761,139 +609,6 @@ impl DramSystem {
     /// Aggregate statistics.
     pub fn stats(&self) -> DramStats {
         self.stats
-    }
-
-    /// Earliest completion recorded for `owner` that the owner has not yet
-    /// drained, or `None` when its completion buffer is empty.
-    ///
-    /// A read that has *issued* leaves the queues — and therefore the
-    /// [`DramSystem::next_read_completion_ps`] bound — the moment its data
-    /// return time is decided, even when that time is still in the future.
-    /// Until the owner's memory system drains the completion, the fill is
-    /// invisible to its ticket state too, so the cycle-skip fill-wake bound
-    /// must take this buffer into account: on a heterogeneous chip another
-    /// cluster's ticks advance the shared scheduler between this owner's
-    /// drains, and a skip computed without this term can jump past the
-    /// fill's poll cycle.
-    pub fn next_undrained_completion_ps(&self, owner: u32) -> Option<u64> {
-        self.completed
-            .get(owner as usize)
-            .and_then(|done| done.iter().map(|&(_, d)| d).min())
-    }
-
-    /// Refreshes the memoized per-bank next-event minima for banks whose
-    /// timing state or queue membership changed since the last query.
-    fn refresh_bank_bounds(&mut self) {
-        let lat = BoundLat {
-            cl: u64::from(self.cfg.cl) * self.cfg.tck_ps,
-            trcd: u64::from(self.cfg.trcd) * self.cfg.tck_ps,
-            trp: u64::from(self.cfg.trp) * self.cfg.tck_ps,
-        };
-        let banks_per_rank = self.cfg.bank_groups * self.cfg.banks_per_group;
-        for chan in &mut self.channels {
-            let Channel {
-                banks,
-                ranks,
-                bank_ix,
-                active_banks,
-                slots,
-                ..
-            } = chan;
-            for &b in active_banks.iter() {
-                let bix = &mut bank_ix[b as usize];
-                if !bix.dirty {
-                    continue;
-                }
-                let bank = &banks[b as usize];
-                let act_win = if bank.open_row.is_none() {
-                    act_window(&self.cfg, &ranks[(b / banks_per_rank) as usize])
-                } else {
-                    0
-                };
-                recompute_bank(bix, bank, act_win, slots, lat);
-            }
-        }
-    }
-
-    /// Earliest time any queued command could issue, or `None` when every
-    /// channel queue is empty.
-    ///
-    /// This is the uncore's next-event bound for the cycle-skip fast path:
-    /// a [`DramSystem::tick`] with `until_ps` at or before this time is a
-    /// no-op (no command's window opens), and bank/rank/bus state only
-    /// changes when a command issues — so every skipped tick up to this
-    /// bound would have observed exactly the state used to compute it.
-    /// Issuing a command never makes another queued command's start
-    /// *earlier* (bank, rank and bus constraints are all monotonic), so
-    /// the bound also floors every issue that happens after it.
-    ///
-    /// Maintained incrementally: each bank memoizes the minimum over its
-    /// own requests and recomputes only when its state changed, so a query
-    /// after one enqueue touches one bank instead of rebuilding from every
-    /// queued request.
-    pub fn next_issue_ps(&mut self) -> Option<u64> {
-        if let Some(cached) = self.next_issue_cache {
-            return cached;
-        }
-        self.refresh_bank_bounds();
-        let mut next: Option<u64> = None;
-        for chan in &self.channels {
-            for &b in &chan.active_banks {
-                if let Some(s) = chan.bank_ix[b as usize].issue_min {
-                    next = min_opt(next, s);
-                }
-            }
-        }
-        self.next_issue_cache = Some(next);
-        next
-    }
-
-    /// A lower bound on the earliest completion (data off the pins) of any
-    /// *currently queued read*, or `None` when no reads are queued.
-    ///
-    /// For each read the bound walks the exact command path it would take
-    /// if issued first, against current bank/bus state — row hit pays
-    /// `CL + burst`, a closed bank adds `tRCD`, a conflict adds
-    /// `tRP + tRCD` — and every ingredient (CAS/precharge/activate
-    /// readiness, the tFAW/tRRD windows, bus occupancy) only moves *later*
-    /// as other commands issue, so the path time is a true floor. Two
-    /// cross-command effects could make a read finish *earlier* than its
-    /// own path:
-    ///
-    /// * another queued **read** opens the row first — then our read's
-    ///   burst serializes after that read's, whose own bound is already in
-    ///   the minimum;
-    /// * a queued **write** to the same bank and row opens it first —
-    ///   then the read still pays at least the write's activate
-    ///   (`≥` the write's earliest start) plus `tRCD + CL + burst`, which
-    ///   the bound takes instead for hazarded reads.
-    ///
-    /// Writes themselves complete no core-visible event, so they do not
-    /// otherwise appear in the bound.
-    ///
-    /// Shares the per-bank memoization with [`DramSystem::next_issue_ps`];
-    /// the former per-read nested write-hazard rescan is replaced by
-    /// per-`(bank, row)` minimum-arrival lookups.
-    pub fn next_read_completion_ps(&mut self) -> Option<u64> {
-        if let Some(cached) = self.read_completion_cache {
-            return cached;
-        }
-        self.refresh_bank_bounds();
-        let burst = self.cfg.burst_ps();
-        let mut next: Option<u64> = None;
-        for chan in &self.channels {
-            let mut own: Option<u64> = None;
-            for &b in &chan.active_banks {
-                if let Some(m) = chan.bank_ix[b as usize].read_min {
-                    own = min_opt(own, m);
-                }
-            }
-            if let Some(m) = own {
-                next = min_opt(next, chan.bus_free.max(m) + burst);
-            }
-        }
-        self.read_completion_cache = Some(next);
-        next
     }
 
     /// Advances every channel's scheduler up to `until_ps`, issuing all
@@ -1015,8 +730,6 @@ impl DramSystem {
     }
 
     fn issue(&mut self, ch: usize, p: Pending, start: u64) {
-        self.next_issue_cache = None;
-        self.read_completion_cache = None;
         let cfg = self.cfg;
         let tck = cfg.tck_ps;
         let addr = p.addr;
@@ -1049,16 +762,9 @@ impl DramSystem {
             bank.pre_ready = act + u64::from(cfg.tras) * tck;
             t = bank.cas_ready;
             self.stats.row_misses += 1;
-            // The activate moved the rank's tRRD/tFAW window: every bank of
-            // the rank must refresh its closed-bank bound.
-            let bpr = cfg.bank_groups * cfg.banks_per_group;
-            for b in (addr.rank * bpr)..((addr.rank + 1) * bpr) {
-                chan.bank_ix[b as usize].dirty = true;
-            }
         } else {
             t = t.max(bank.cas_ready);
             self.stats.row_hits += 1;
-            chan.bank_ix[addr.bank as usize].dirty = true;
         }
         let bank = &mut chan.banks[addr.bank as usize];
 
@@ -1252,24 +958,6 @@ mod tests {
     }
 
     #[test]
-    fn next_issue_bound_tracks_enqueues_and_issues() {
-        let mut sys = system();
-        assert_eq!(sys.next_issue_ps(), None);
-        let _ = sys.read(0, 1_000);
-        assert_eq!(
-            sys.next_issue_ps(),
-            Some(1_000),
-            "cold bank: the command can start as soon as it arrives"
-        );
-        // The memoized bound must refresh once the command issues.
-        sys.tick(u64::MAX / 2);
-        assert_eq!(sys.next_issue_ps(), None);
-        let _ = sys.read(0, 5_000_000);
-        let s = sys.next_issue_ps().expect("queued again");
-        assert!(s >= 5_000_000);
-    }
-
-    #[test]
     fn requests_do_not_start_before_arrival() {
         let mut sys = system();
         let t = sys.read(0, 1_000_000);
@@ -1405,107 +1093,6 @@ mod tests {
             );
             assert_eq!(repeated.pending(), 0);
         }
-    }
-
-    /// Brute-force recomputation of the next-issue bound straight from the
-    /// definition (what the pre-index implementation did on every query).
-    fn brute_next_issue(sys: &DramSystem) -> Option<u64> {
-        let mut next: Option<u64> = None;
-        for chan in &sys.channels {
-            for p in chan.slots.iter().flatten() {
-                let start = earliest_start(&sys.cfg, chan, p.addr, p.arrive_ps);
-                next = min_opt(next, start);
-            }
-        }
-        next
-    }
-
-    /// Brute-force next read completion, including the nested write-hazard
-    /// scan of the pre-index implementation.
-    fn brute_next_read_completion(sys: &DramSystem) -> Option<u64> {
-        let tck = sys.cfg.tck_ps;
-        let cl = u64::from(sys.cfg.cl) * tck;
-        let trcd = u64::from(sys.cfg.trcd) * tck;
-        let trp = u64::from(sys.cfg.trp) * tck;
-        let burst = sys.cfg.burst_ps();
-        let mut next: Option<u64> = None;
-        for chan in &sys.channels {
-            for p in chan.slots.iter().flatten().filter(|p| !p.write) {
-                let bank = &chan.banks[p.addr.bank as usize];
-                let start = earliest_start(&sys.cfg, chan, p.addr, p.arrive_ps);
-                let own = match bank.open_row {
-                    Some(row) if row == p.addr.row => start + cl,
-                    Some(_) => start + trp + trcd + cl,
-                    None => start + trcd + cl,
-                };
-                let mut est = chan.bus_free.max(own) + burst;
-                if !matches!(bank.open_row, Some(row) if row == p.addr.row) {
-                    for w in chan.slots.iter().flatten().filter(|w| w.write) {
-                        if w.addr.bank == p.addr.bank && w.addr.row == p.addr.row {
-                            let wstart = earliest_start(&sys.cfg, chan, w.addr, w.arrive_ps);
-                            est = est.min(chan.bus_free.max(wstart + trcd + cl) + burst);
-                        }
-                    }
-                }
-                next = min_opt(next, est);
-            }
-        }
-        next
-    }
-
-    #[test]
-    fn incremental_bounds_match_brute_force_under_random_traffic() {
-        let mut sys = system();
-        let mut x = 0xC0FFEE_u64;
-        for i in 0..600u64 {
-            let r = xorshift(&mut x);
-            let addr = (r % (1 << 26)) & !63;
-            if r % 3 == 0 {
-                sys.write(addr, i * 900);
-            } else {
-                sys.read(addr, i * 900);
-            }
-            if i % 7 == 0 {
-                sys.tick(i * 900);
-            }
-            if i % 5 == 0 {
-                assert_eq!(
-                    sys.next_issue_ps(),
-                    brute_next_issue(&sys),
-                    "next_issue diverged at step {i}"
-                );
-                assert_eq!(
-                    sys.next_read_completion_ps(),
-                    brute_next_read_completion(&sys),
-                    "next_read_completion diverged at step {i}"
-                );
-            }
-        }
-        sys.tick(u64::MAX / 2);
-        assert_eq!(sys.next_issue_ps(), None);
-        assert_eq!(sys.next_read_completion_ps(), None);
-    }
-
-    #[test]
-    fn same_bank_write_hazard_bounds_match_brute_force() {
-        // A read behind a write to the same (bank, row): the completion
-        // bound must take the write-opens-the-row path.
-        let mut sys = system();
-        let cfg = *sys.config();
-        let lines_per_row = cfg.row_bytes / 64;
-        let banks = u64::from(cfg.banks_per_channel());
-        // Warm bank 0 row 0 so row 1 requests conflict.
-        let w = sys.read(0, 0);
-        let t0 = complete_one(&mut sys, w);
-        let conflict_row = 64 * 4 * lines_per_row * banks;
-        sys.write(conflict_row, t0 + 10);
-        let _r = sys.read(conflict_row + 64 * 4, t0 + 20);
-        assert_eq!(
-            sys.next_read_completion_ps(),
-            brute_next_read_completion(&sys),
-            "hazarded read bound must match the reference walk"
-        );
-        assert_eq!(sys.next_issue_ps(), brute_next_issue(&sys));
     }
 
     #[test]

@@ -261,11 +261,6 @@ impl SharedLlc {
         buf.append(&mut self.pending_invalidations);
     }
 
-    /// Whether any coherence invalidations are queued for delivery.
-    pub fn has_pending_invalidations(&self) -> bool {
-        !self.pending_invalidations.is_empty()
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> LlcStats {
         self.stats

@@ -260,61 +260,6 @@ impl MemorySystem {
         }
     }
 
-    /// Peeks a ticket's completion time without retiring it: `Some(done_ps)`
-    /// once the fill's arrival time is known (the time may still be in the
-    /// future), `None` while the request waits on DRAM scheduling.
-    ///
-    /// This is the cycle-skip probe's view of a ticket; unlike
-    /// [`MemorySystem::poll`] it never mutates state.
-    pub fn ticket_done_ps(&self, ticket: MemTicket) -> Option<u64> {
-        match self.requests[ticket as usize] {
-            ReqState::Done(d) => Some(d),
-            _ => None,
-        }
-    }
-
-    /// Earliest time DRAM could issue any queued command, or `None` when
-    /// the queues are empty (see [`DramSystem::next_issue_ps`]).
-    pub fn next_issue_ps(&self) -> Option<u64> {
-        self.dram.lock().unwrap().next_issue_ps()
-    }
-
-    /// Earliest time any outstanding DRAM read's fill could be back at a
-    /// core: the minimum of the queued-read completion bound
-    /// ([`DramSystem::next_read_completion_ps`]) and the earliest
-    /// *issued-but-undrained* completion for this cluster
-    /// ([`DramSystem::next_undrained_completion_ps`]), plus the crossbar
-    /// return hop. `None` when neither exists — pending writes alone
-    /// never wake a core.
-    ///
-    /// The undrained term matters on heterogeneous chips: another
-    /// cluster's ticks can advance the shared scheduler and issue this
-    /// cluster's read between two of its own [`MemorySystem::tick`]s, at
-    /// which point the read is neither queued (invisible to the
-    /// completion bound) nor resolved (its ticket still reads as
-    /// in-DRAM). Without the term the skip target can overshoot the
-    /// fill's poll cycle and drop core work.
-    ///
-    /// No fill can be polled before this time, so the cycle-skip fast
-    /// path may jump up to this bound even across DRAM command issues,
-    /// provided the skip replays the uncore's per-cycle
-    /// [`MemorySystem::tick`] boundaries.
-    pub fn next_fill_wake_ps(&self) -> Option<u64> {
-        let mut dram = self.dram.lock().unwrap();
-        let queued = dram.next_read_completion_ps();
-        let undrained = dram.next_undrained_completion_ps(self.dram_owner);
-        let earliest = match (queued, undrained) {
-            (Some(q), Some(u)) => Some(q.min(u)),
-            (q, u) => q.or(u),
-        };
-        earliest.map(|d| d + self.xbar_return_ps)
-    }
-
-    /// Whether coherence invalidations are queued for the cluster to apply.
-    pub fn has_pending_invalidations(&self) -> bool {
-        self.llc.has_pending_invalidations()
-    }
-
     /// Invalidations the cluster must apply to core L1s.
     pub fn drain_invalidations(&mut self) -> Vec<Invalidation> {
         self.llc.drain_invalidations()

@@ -3,13 +3,12 @@
 //!
 //! A [`Probe`] attached to [`ClusterSim`](crate::ClusterSim) or
 //! [`ChipSim`](crate::ChipSim) is sampled by the shared engine loop on
-//! *epochs* — after every cycle-skip wakeup (the moments the simulation
-//! state actually changes during stalls) and every
-//! [`PROBE_EPOCH_CYCLES`] naively-ticked cycles. Each sample captures
-//! the quantities the paper's analysis turns on: MSHR occupancy (the
-//! window-limited MLP), ROB occupancy, DRAM queue depth per channel
-//! (LLC/DRAM queuing), row-hit locality, and how much of simulated time
-//! the fast path skipped.
+//! *epochs* — at the start and end of every run window and every
+//! [`PROBE_EPOCH_CYCLES`] cycles of the reference clock (lane 0, the
+//! chip's cluster 0). Each sample captures the quantities the paper's
+//! analysis turns on: MSHR occupancy (the window-limited MLP), ROB
+//! occupancy, DRAM queue depth per channel (LLC/DRAM queuing) and
+//! row-hit locality.
 //!
 //! Probes observe only; they can never perturb simulated state, so a
 //! probed run produces bit-identical [`SimStats`](crate::SimStats) to an
@@ -22,8 +21,8 @@ use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// How many naively-ticked cycles pass between probe samples (cycle-skip
-/// wakeups are sampled additionally, as they land).
+/// How many reference-clock cycles pass between probe samples (run-window
+/// boundaries are sampled additionally).
 pub const PROBE_EPOCH_CYCLES: u64 = 1024;
 
 /// One engine-epoch observation of the simulator's internal state.
@@ -45,8 +44,6 @@ pub struct ProbeSample {
     pub dram_row_hits: u64,
     /// Cumulative DRAM row-buffer misses so far.
     pub dram_row_misses: u64,
-    /// Cumulative cycles the fast path skipped so far (out of `cycle`).
-    pub skipped_cycles: u64,
     /// Cumulative user (non-OS) instructions committed across all cores.
     pub user_instrs: u64,
     /// Cumulative instructions (user + OS) committed across all cores.
@@ -76,23 +73,13 @@ impl ProbeSample {
             self.dram_row_hits as f64 / total as f64
         }
     }
-
-    /// Fraction of cycles so far the cycle-skip fast path jumped rather
-    /// than ticked.
-    pub fn cycle_skip_ratio(&self) -> f64 {
-        if self.cycle == 0 {
-            0.0
-        } else {
-            self.skipped_cycles as f64 / self.cycle as f64
-        }
-    }
 }
 
 /// An observer the engine samples on its epochs.
 pub trait Probe {
     /// Called by the engine with a freshly-taken sample. Implementations
-    /// must not assume any particular cadence: cycle-skip wakeups are
-    /// irregular by nature.
+    /// must not assume any particular cadence: run-window boundaries fall
+    /// between epochs, and may repeat a cycle.
     fn sample(&mut self, sample: ProbeSample);
 }
 
@@ -193,8 +180,6 @@ pub struct ActivityWindow {
     pub dram_reads: u64,
     /// DRAM line writes inside the window.
     pub dram_writes: u64,
-    /// Cycles the fast path skipped inside the window.
-    pub skipped_cycles: u64,
 }
 
 impl ActivityWindow {
@@ -212,7 +197,6 @@ impl ActivityWindow {
             xbar_transfers: end.xbar_transfers - start.xbar_transfers,
             dram_reads: end.dram_reads - start.dram_reads,
             dram_writes: end.dram_writes - start.dram_writes,
-            skipped_cycles: end.skipped_cycles - start.skipped_cycles,
         }
     }
 
@@ -227,7 +211,6 @@ impl ActivityWindow {
         self.xbar_transfers += other.xbar_transfers;
         self.dram_reads += other.dram_reads;
         self.dram_writes += other.dram_writes;
-        self.skipped_cycles += other.skipped_cycles;
     }
 
     /// Window width in cycles.
@@ -238,11 +221,6 @@ impl ActivityWindow {
     /// Window width in simulated time (picoseconds).
     pub fn duration_ps(&self) -> u64 {
         self.end_ps - self.start_ps
-    }
-
-    /// Cycles the engine actually ticked (width minus skipped).
-    pub fn ticked_cycles(&self) -> u64 {
-        self.cycles() - self.skipped_cycles
     }
 
     /// LLC accesses (hits + misses) inside the window.
@@ -260,7 +238,6 @@ impl ActivityWindow {
             || self.xbar_transfers != 0
             || self.dram_reads != 0
             || self.dram_writes != 0
-            || self.skipped_cycles != 0
     }
 }
 
@@ -454,12 +431,9 @@ mod tests {
     #[test]
     fn derived_ratios() {
         let mut s = sample_at(1000);
-        s.skipped_cycles = 250;
         s.dram_row_hits = 30;
         s.dram_row_misses = 10;
-        assert!((s.cycle_skip_ratio() - 0.25).abs() < 1e-12);
         assert!((s.row_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(sample_at(0).cycle_skip_ratio(), 0.0);
         assert_eq!(sample_at(0).row_hit_rate(), 0.0);
     }
 }

@@ -5,8 +5,7 @@
 //! must produce *bit-identical* [`SimStats`] to the pre-refactor
 //! chip-wide-[`SimConfig`] path, and a standalone [`ClusterSim`] must
 //! match a 1-cluster [`ChipSim`] built through the new plane — across
-//! stream classes, frequencies, and both engine loops (cycle-skip and
-//! naive).
+//! stream classes and frequencies.
 
 use ntc_sim::streams::{RandomAccessStream, StrideStream};
 use ntc_sim::{ChipConfig, ChipSim, ClusterSim, Instr, InstructionStream, SimConfig, SimStats};
@@ -54,26 +53,23 @@ fn explicit_chip_config(config: &SimConfig, clusters: u32) -> ChipConfig {
 fn per_cluster_config_plane_is_invisible_for_homogeneous_chips() {
     for mhz in FREQS_MHZ {
         for (class, make) in STREAMS {
-            for skip in [true, false] {
-                let config = SimConfig::paper_cluster(mhz);
-                let run = |mut chip: ChipSim<TestStream>| -> (SimStats, SimStats) {
-                    chip.set_cycle_skip(skip);
-                    chip.run(2_000);
-                    let window = chip.run_measured(6_000);
-                    (window, chip.stats())
-                };
-                let old = run(ChipSim::new(config, 3, |cl, c| {
-                    make(u64::from(cl) * 8 + u64::from(c))
-                }));
-                let new = run(ChipSim::new_chip(
-                    explicit_chip_config(&config, 3),
-                    |cl, c| make(u64::from(cl) * 8 + u64::from(c)),
-                ));
-                assert_eq!(
-                    old, new,
-                    "per-cluster config plane changed {class} stats at {mhz} MHz (skip={skip})"
-                );
-            }
+            let config = SimConfig::paper_cluster(mhz);
+            let run = |mut chip: ChipSim<TestStream>| -> (SimStats, SimStats) {
+                chip.run(2_000);
+                let window = chip.run_measured(6_000);
+                (window, chip.stats())
+            };
+            let old = run(ChipSim::new(config, 3, |cl, c| {
+                make(u64::from(cl) * 8 + u64::from(c))
+            }));
+            let new = run(ChipSim::new_chip(
+                explicit_chip_config(&config, 3),
+                |cl, c| make(u64::from(cl) * 8 + u64::from(c)),
+            ));
+            assert_eq!(
+                old, new,
+                "per-cluster config plane changed {class} stats at {mhz} MHz"
+            );
         }
     }
 }
@@ -82,50 +78,23 @@ fn per_cluster_config_plane_is_invisible_for_homogeneous_chips() {
 fn cluster_sim_matches_one_cluster_chip_config() {
     for mhz in FREQS_MHZ {
         for (class, make) in STREAMS {
-            for skip in [true, false] {
-                let config = SimConfig::paper_cluster(mhz);
-                let mut cluster = ClusterSim::new(config, |c| make(u64::from(c)));
-                cluster.set_cycle_skip(skip);
-                let mut chip =
-                    ChipSim::new_chip(explicit_chip_config(&config, 1), |_, c| make(u64::from(c)));
-                chip.set_cycle_skip(skip);
-                cluster.warm_up(2_000);
-                chip.run(2_000);
-                let cw = cluster.run_measured(6_000);
-                let hw = chip.run_measured(6_000);
-                assert_eq!(
-                    cw, hw,
-                    "1-cluster chip window diverged from cluster for {class} at {mhz} MHz (skip={skip})"
-                );
-                assert_eq!(
-                    cluster.stats(),
-                    chip.stats(),
-                    "1-cluster chip totals diverged from cluster for {class} at {mhz} MHz (skip={skip})"
-                );
-            }
+            let config = SimConfig::paper_cluster(mhz);
+            let mut cluster = ClusterSim::new(config, |c| make(u64::from(c)));
+            let mut chip =
+                ChipSim::new_chip(explicit_chip_config(&config, 1), |_, c| make(u64::from(c)));
+            cluster.warm_up(2_000);
+            chip.run(2_000);
+            let cw = cluster.run_measured(6_000);
+            let hw = chip.run_measured(6_000);
+            assert_eq!(
+                cw, hw,
+                "1-cluster chip window diverged from cluster for {class} at {mhz} MHz"
+            );
+            assert_eq!(
+                cluster.stats(),
+                chip.stats(),
+                "1-cluster chip totals diverged from cluster for {class} at {mhz} MHz"
+            );
         }
     }
-}
-
-#[test]
-fn heterogeneous_chip_skip_matches_naive() {
-    // The multi-clock engine's cycle-skip must stay bit-identical to its
-    // own naive interleaving (the synced fast path is covered by
-    // `cycle_skip.rs`; this exercises the event-merge loop).
-    use ntc_sim::ClusterConfig;
-    let mut config = ChipConfig::homogeneous(&SimConfig::paper_cluster(1600.0), 2);
-    config.clusters[1] = ClusterConfig::little_cluster(600.0);
-    let run = |skip: bool| -> (SimStats, SimStats) {
-        let mut chip = ChipSim::new_chip(config.clone(), |cl, c| {
-            memory_bound(u64::from(cl) * 8 + u64::from(c))
-        });
-        chip.set_cycle_skip(skip);
-        chip.run(2_000);
-        let window = chip.run_measured(6_000);
-        (window, chip.stats())
-    };
-    let (fast_window, fast_total) = run(true);
-    let (naive_window, naive_total) = run(false);
-    assert_eq!(fast_window, naive_window, "hetero chip window diverged");
-    assert_eq!(fast_total, naive_total, "hetero chip totals diverged");
 }

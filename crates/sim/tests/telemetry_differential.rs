@@ -1,8 +1,7 @@
 //! Telemetry must be observation-only: a probed (and, when the
 //! `telemetry` feature is on, traced) run produces **bit-identical**
 //! `SimStats` to a plain run — across ≥2 stream classes × 2 frequencies,
-//! for both the cluster and the chip simulator, on both the cycle-skip
-//! and the naive loop.
+//! for both the cluster and the chip simulator.
 
 use ntc_sim::streams::{RandomAccessStream, StrideStream};
 use ntc_sim::{
@@ -19,7 +18,7 @@ enum StreamClass {
     Stride,
 }
 
-fn cluster_stats(class: StreamClass, mhz: f64, skip: bool, probed: bool) -> (SimStats, usize) {
+fn cluster_stats(class: StreamClass, mhz: f64, probed: bool) -> (SimStats, usize) {
     // When the harness runs with the telemetry feature + NTC_TRACE=1,
     // the probed runs are also span-traced — the differential then
     // covers tracing too. Stats must not care either way.
@@ -37,7 +36,6 @@ fn cluster_stats(class: StreamClass, mhz: f64, skip: bool, probed: bool) -> (Sim
                 as Box<dyn ntc_sim::InstructionStream>
         }),
     };
-    sim.set_cycle_skip(skip);
     let samples = if probed {
         let probe = TimeSeriesProbe::new();
         let handle = probe.samples();
@@ -56,25 +54,23 @@ fn cluster_stats(class: StreamClass, mhz: f64, skip: bool, probed: bool) -> (Sim
 fn probed_cluster_stats_are_bit_identical() {
     for class in [StreamClass::Random, StreamClass::Stride] {
         for mhz in [500.0, 2000.0] {
-            for skip in [true, false] {
-                let (plain, _) = cluster_stats(class, mhz, skip, false);
-                let (probed, samples) = cluster_stats(class, mhz, skip, true);
-                assert_eq!(
-                    plain, probed,
-                    "probed run must not perturb stats ({mhz} MHz, skip={skip})"
-                );
-                assert!(
-                    samples > 0,
-                    "the probe must actually collect samples ({mhz} MHz, skip={skip})"
-                );
-            }
+            let (plain, _) = cluster_stats(class, mhz, false);
+            let (probed, samples) = cluster_stats(class, mhz, true);
+            assert_eq!(
+                plain, probed,
+                "probed run must not perturb stats ({mhz} MHz)"
+            );
+            assert!(
+                samples > 0,
+                "the probe must actually collect samples ({mhz} MHz)"
+            );
         }
     }
 }
 
 #[test]
 fn probe_samples_are_ordered_and_consistent() {
-    let (_, _) = cluster_stats(StreamClass::Random, 1000.0, true, false);
+    let (_, _) = cluster_stats(StreamClass::Random, 1000.0, false);
     let mut sim = ClusterSim::new(SimConfig::paper_cluster(1000.0), |i| {
         RandomAccessStream::new(256 << 20, 0.30, 6, 100 + u64::from(i))
     });
@@ -90,23 +86,17 @@ fn probe_samples_are_ordered_and_consistent() {
             pair[0].cycle < pair[1].cycle,
             "samples must advance in time"
         );
-        assert!(
-            pair[0].skipped_cycles <= pair[1].skipped_cycles,
-            "skip counts are cumulative"
-        );
     }
     for s in samples.iter() {
         assert!(s.cycle <= 12_000);
         assert_eq!(s.now_ps, s.cycle * 1000, "1 GHz -> 1000 ps per cycle");
-        assert!(s.skipped_cycles <= s.cycle);
         assert!(s.dram_row_hits <= final_stats.dram.row_hits);
         assert!(s.dram_row_misses <= final_stats.dram.row_misses);
         assert!(
             u64::from(s.dram_channel_depths.iter().copied().sum::<u32>()) == s.dram_pending,
             "per-channel depths must sum to the total pending count"
         );
-        let (p, q) = (s.row_hit_rate(), s.cycle_skip_ratio());
-        assert!((0.0..=1.0).contains(&p) && (0.0..=1.0).contains(&q));
+        assert!((0.0..=1.0).contains(&s.row_hit_rate()));
     }
     assert_eq!(
         final_stats.dram_queue_high_water,
@@ -141,13 +131,12 @@ fn probed_chip_stats_are_bit_identical() {
 /// A big/little chip — 2 GHz paper cluster beside a 500 MHz little
 /// cluster — exercising the multiclock engine loop, with warm-up and a
 /// measurement window so probes see run-window boundaries too.
-fn hetero_chip_stats(skip: bool, probed: bool) -> (SimStats, SimStats, usize) {
+fn hetero_chip_stats(probed: bool) -> (SimStats, SimStats, usize) {
     let mut config = ChipConfig::homogeneous(&SimConfig::paper_cluster(2000.0), 2);
     config.clusters[1] = ClusterConfig::little_cluster(500.0);
     let mut chip = ChipSim::new_chip(config, |cl, c| {
         RandomAccessStream::new(64 << 20, 0.3, 4, u64::from(cl) * 8 + u64::from(c))
     });
-    chip.set_cycle_skip(skip);
     let samples = if probed {
         let probe = TimeSeriesProbe::new();
         let handle = probe.samples();
@@ -164,33 +153,17 @@ fn hetero_chip_stats(skip: bool, probed: bool) -> (SimStats, SimStats, usize) {
 
 #[test]
 fn probed_hetero_chip_stats_are_bit_identical() {
-    for skip in [true, false] {
-        let (plain_window, plain_totals, _) = hetero_chip_stats(skip, false);
-        let (probed_window, probed_totals, samples) = hetero_chip_stats(skip, true);
-        assert_eq!(
-            plain_window, probed_window,
-            "probed mixed-frequency window must match plain (skip={skip})"
-        );
-        assert_eq!(
-            plain_totals, probed_totals,
-            "probed mixed-frequency totals must match plain (skip={skip})"
-        );
-        assert!(samples > 0, "the probe must collect samples (skip={skip})");
-    }
-}
-
-#[test]
-fn hetero_chip_cycle_skip_matches_the_naive_loop() {
-    let (skip_window, skip_totals, _) = hetero_chip_stats(true, false);
-    let (naive_window, naive_totals, _) = hetero_chip_stats(false, false);
+    let (plain_window, plain_totals, _) = hetero_chip_stats(false);
+    let (probed_window, probed_totals, samples) = hetero_chip_stats(true);
     assert_eq!(
-        skip_window, naive_window,
-        "multiclock cycle-skip window must match the naive loop"
+        plain_window, probed_window,
+        "probed mixed-frequency window must match plain"
     );
     assert_eq!(
-        skip_totals, naive_totals,
-        "multiclock cycle-skip totals must match the naive loop"
+        plain_totals, probed_totals,
+        "probed mixed-frequency totals must match plain"
     );
+    assert!(samples > 0, "the probe must collect samples");
 }
 
 // The energy probe's closure guarantee on the multiclock loop: windows
@@ -234,10 +207,10 @@ fn hetero_chip_energy_windows_close_over_the_run() {
 #[cfg(feature = "telemetry")]
 #[test]
 fn traced_cluster_stats_are_bit_identical() {
-    let (plain, _) = cluster_stats(StreamClass::Random, 2000.0, true, false);
+    let (plain, _) = cluster_stats(StreamClass::Random, 2000.0, false);
     ntc_telemetry::set_tracing(true);
     ntc_telemetry::set_metrics(true);
-    let (traced, samples) = cluster_stats(StreamClass::Random, 2000.0, true, true);
+    let (traced, samples) = cluster_stats(StreamClass::Random, 2000.0, true);
     ntc_telemetry::set_tracing(false);
     ntc_telemetry::set_metrics(false);
     assert_eq!(plain, traced, "tracing must not perturb simulation stats");

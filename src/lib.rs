@@ -25,8 +25,8 @@
 //!   tracing with Chrome-trace export, sim probes (compile in with the
 //!   `telemetry` feature, switch on with `NTC_TRACE`/`NTC_METRICS`).
 //! * [`diffcheck`] — the differential fuzz harness: random valid configs
-//!   checked through every fast/reference oracle pair (cycle-skip,
-//!   FR-FCFS index, telemetry, parallel sweep, histogram percentiles),
+//!   checked through every fast/reference oracle pair (FR-FCFS index,
+//!   telemetry, parallel sweep, histogram percentiles, energy probe),
 //!   with automatic shrinking and one-line repro commands.
 //!
 //! # Quickstart
