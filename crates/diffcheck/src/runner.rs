@@ -76,7 +76,7 @@ pub struct DivergenceReport {
     pub case_index: u64,
     /// The pair that disagreed.
     pub pair: OraclePair,
-    /// First-difference description (from the shrunk case).
+    /// First-difference description (from the reported shape).
     pub detail: String,
     /// The minimal still-failing shape, or the failing case as generated
     /// when shrinking was off.

@@ -98,8 +98,9 @@ impl<S: InstructionStream> ChipSim<S> {
 
     /// Attaches a telemetry probe, sampled at run-window boundaries and
     /// every [`crate::probe::PROBE_EPOCH_CYCLES`] cycles of cluster 0 (the
-    /// chip's reference clock). Probes observe only — statistics are bit-identical with
-    /// or without one attached. Replaces any previous probe.
+    /// chip's reference clock). Probes observe only — statistics are
+    /// bit-identical with or without one attached. Replaces any previous
+    /// probe.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
         self.probe = Some(probe);
     }

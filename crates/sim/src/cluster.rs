@@ -86,8 +86,8 @@ impl<S: InstructionStream> ClusterSim<S> {
 
     /// Attaches a telemetry probe, sampled at run-window boundaries and
     /// every [`crate::probe::PROBE_EPOCH_CYCLES`] cycles. Probes observe
-    /// only — statistics are bit-identical with
-    /// or without one attached. Replaces any previous probe.
+    /// only — statistics are bit-identical with or without one attached.
+    /// Replaces any previous probe.
     pub fn attach_probe(&mut self, probe: Box<dyn Probe>) {
         self.probe = Some(probe);
     }
