@@ -28,31 +28,6 @@ fn bench_cluster(c: &mut Criterion) {
     g.finish();
 }
 
-/// The batched frequency ladder: five Web Search points measured cold
-/// per-point (five full warm-ups) versus one `measure_ladder` batch (one
-/// warm-up at the top frequency, DVFS-rebased down with short settle
-/// windows). The batch trades bit-identity for a several-fold cut in
-/// simulated warm-up cycles; this group records the realized ratio.
-fn bench_batched_ladder(c: &mut Criterion) {
-    use ntc_core::{ClusterMeasurer, SimMeasurer};
-
-    let mut g = c.benchmark_group("batched_ladder");
-    g.sample_size(10);
-    let freqs = [2000.0, 1500.0, 1000.0, 500.0, 250.0];
-    let measurer = SimMeasurer::fast(WorkloadProfile::cloudsuite(CloudSuiteApp::WebSearch));
-    g.bench_function("web_search_5pt_per_point", |b| {
-        b.iter(|| {
-            for &mhz in &freqs {
-                black_box(measurer.measure(mhz).unwrap());
-            }
-        })
-    });
-    g.bench_function("web_search_5pt_batched", |b| {
-        b.iter(|| black_box(measurer.measure_ladder(&freqs).unwrap()))
-    });
-    g.finish();
-}
-
 fn bench_dram(c: &mut Criterion) {
     use ntc_sim::config::DramTimingConfig;
     use ntc_sim::dram::DramSystem;
@@ -122,11 +97,5 @@ fn bench_dram_deep_queue(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_cluster,
-    bench_batched_ladder,
-    bench_dram,
-    bench_dram_deep_queue
-);
+criterion_group!(benches, bench_cluster, bench_dram, bench_dram_deep_queue);
 criterion_main!(benches);

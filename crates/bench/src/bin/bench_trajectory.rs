@@ -2,11 +2,10 @@
 //! `BENCH_sim.json`.
 //!
 //! Times the same kernel groups as the `simulator_kernels` Criterion
-//! bench — cluster cycles per workload class, the batched frequency
-//! ladder, and the DRAM scheduler in both the random and deep-queue
-//! regimes — with an `Instant` harness that runs every kernel [`REPS`]
-//! times, round-robin across the kernels so that host drift hits them
-//! all alike, then appends
+//! bench — cluster cycles per workload class and the DRAM scheduler in
+//! both the random and deep-queue regimes — with an `Instant` harness
+//! that runs every kernel [`REPS`] times, round-robin across the kernels
+//! so that host drift hits them all alike, then appends
 //! `{commit, date, reps, groups}` to the `trajectory` array (creating it
 //! when absent). Each kernel's cell is `{"median": ms, "quartiles": [q1,
 //! q3]}`. The existing top-level baseline fields are left untouched, so
@@ -40,21 +39,6 @@ fn cluster_kernel(app: CloudSuiteApp) -> impl FnMut() {
         });
         prewarm_cluster(&mut sim, &profile);
         black_box(sim.run(20_000));
-    }
-}
-
-fn batched_ladder_kernel(batched: bool) -> impl FnMut() {
-    use ntc_core::{ClusterMeasurer, SimMeasurer};
-    let freqs = [2000.0, 1500.0, 1000.0, 500.0, 250.0];
-    let measurer = SimMeasurer::fast(WorkloadProfile::cloudsuite(CloudSuiteApp::WebSearch));
-    move || {
-        if batched {
-            black_box(measurer.measure_ladder(&freqs).unwrap());
-        } else {
-            for &mhz in &freqs {
-                black_box(measurer.measure(mhz).unwrap());
-            }
-        }
     }
 }
 
@@ -106,16 +90,6 @@ fn kernels() -> Vec<Kernel> {
             "cluster_sim",
             "data_serving_20k_cycles_ms",
             Box::new(cluster_kernel(CloudSuiteApp::DataServing)),
-        ),
-        (
-            "batched_ladder",
-            "web_search_5pt_per_point_ms",
-            Box::new(batched_ladder_kernel(false)),
-        ),
-        (
-            "batched_ladder",
-            "web_search_5pt_batched_ms",
-            Box::new(batched_ladder_kernel(true)),
         ),
         (
             "dram_scheduler",

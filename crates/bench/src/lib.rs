@@ -87,49 +87,6 @@ impl Fidelity {
     }
 }
 
-/// Ladder execution strategy for the simulator-backed figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepMode {
-    /// Every ladder point is simulated from a cold, independently warmed
-    /// cluster and memoized in the [`shared_store`] — the reference
-    /// fidelity.
-    PerPoint,
-    /// Batched ladders ([`FrequencySweep::run_batched`]): each worker
-    /// warms once at its chunk's top frequency and walks down through
-    /// in-place DVFS rebase transitions. Several-fold fewer simulated
-    /// cycles per sweep; statistically equivalent to — but not
-    /// bit-identical with — per-point, so results bypass the
-    /// measurement cache.
-    Batched,
-}
-
-impl SweepMode {
-    /// Reads `NTC_SWEEP` from the environment: `per-point` (the default
-    /// when unset) or `batched`. An unrecognized value warns on stderr
-    /// (once per process) and falls back to per-point.
-    pub fn from_env() -> Self {
-        ntc_telemetry::env::parse_or("NTC_SWEEP", SweepMode::PerPoint, |value| {
-            Self::parse(value).map_err(|err| format!("{err}; defaulting to per-point sweeps"))
-        })
-    }
-
-    /// Parses a sweep-mode name.
-    ///
-    /// # Errors
-    ///
-    /// Describes the accepted values when `value` is neither `per-point`
-    /// nor `batched`.
-    pub fn parse(value: &str) -> Result<Self, String> {
-        match value {
-            "per-point" => Ok(SweepMode::PerPoint),
-            "batched" => Ok(SweepMode::Batched),
-            other => Err(format!(
-                "unknown NTC_SWEEP value {other:?} (expected \"per-point\" or \"batched\")"
-            )),
-        }
-    }
-}
-
 /// The paper's server model.
 pub fn paper_server() -> ServerModel {
     ServerConfig::paper()
@@ -414,32 +371,17 @@ impl TelemetryRun {
 /// track group of their own.
 pub const ENERGY_COUNTER_PID: u64 = 424_242;
 
-/// Runs the 100 MHz–2 GHz sweep for one workload profile.
-///
-/// In the default [`SweepMode::PerPoint`] mode each frequency is
-/// simulated independently and memoized in the [`shared_store`]. With
-/// `NTC_SWEEP=batched` the ladder runs through
-/// [`FrequencySweep::run_batched`] instead: one warm-up per worker chunk,
-/// DVFS-rebased down the ladder — much faster at `paper` fidelity, with
-/// the cache deliberately bypassed (batched points are a distinct
-/// fidelity mode and must not alias cold per-point entries).
+/// Runs the 100 MHz–2 GHz sweep for one workload profile. Each frequency
+/// is simulated independently and memoized in the [`shared_store`].
 pub fn sweep_profile(
     server: &ServerModel,
     profile: &WorkloadProfile,
     fidelity: Fidelity,
 ) -> SweepResult {
-    match SweepMode::from_env() {
-        SweepMode::PerPoint => {
-            let measurer =
-                MeasurementCache::shared(fidelity.measurer(profile.clone()), shared_store());
-            FrequencySweep::paper_ladder()
-                .run(server, &measurer)
-                .expect("the FD-SOI ladder is fully reachable")
-        }
-        SweepMode::Batched => FrequencySweep::paper_ladder()
-            .run_batched(server, &fidelity.measurer(profile.clone()))
-            .expect("the FD-SOI ladder is fully reachable"),
-    }
+    let measurer = MeasurementCache::shared(fidelity.measurer(profile.clone()), shared_store());
+    FrequencySweep::paper_ladder()
+        .run(server, &measurer)
+        .expect("the FD-SOI ladder is fully reachable")
 }
 
 // ---------------------------------------------------------------- Figure 1
@@ -1002,41 +944,6 @@ mod tests {
         assert_eq!(Fidelity::from_env(), Fidelity::Paper);
         std::env::remove_var("NTC_FIDELITY");
         assert_eq!(Fidelity::from_env(), Fidelity::Fast);
-    }
-
-    #[test]
-    fn sweep_mode_parses_and_rejects() {
-        assert_eq!(SweepMode::parse("per-point"), Ok(SweepMode::PerPoint));
-        assert_eq!(SweepMode::parse("batched"), Ok(SweepMode::Batched));
-        let err = SweepMode::parse("warp").unwrap_err();
-        assert!(err.contains("warp") && err.contains("per-point") && err.contains("batched"));
-    }
-
-    #[test]
-    fn batched_sweep_tracks_the_per_point_figures() {
-        // The batched ladder is a different fidelity mode, but it must
-        // tell the same story: efficiency curves within a loose band of
-        // the per-point reference at every shared frequency.
-        let server = paper_server();
-        let profile = WorkloadProfile::cloudsuite(CloudSuiteApp::WebSearch);
-        let per_point = FrequencySweep::paper_ladder()
-            .run(&server, &Fidelity::Fast.measurer(profile.clone()))
-            .unwrap();
-        let batched = FrequencySweep::paper_ladder()
-            .run_batched(&server, &Fidelity::Fast.measurer(profile))
-            .unwrap();
-        assert_eq!(per_point.points().len(), batched.points().len());
-        for (p, b) in per_point.points().iter().zip(batched.points()) {
-            assert_eq!(p.mhz, b.mhz);
-            assert_eq!(p.op, b.op, "operating points are measurement-free");
-            assert!(
-                (b.uips / p.uips - 1.0).abs() < 0.5,
-                "batched UIPS strays at {} MHz: {:.3e} vs {:.3e}",
-                p.mhz,
-                b.uips,
-                p.uips
-            );
-        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! configuration is measured once (the measurement cache makes repeats
 //! free), then chip throughput and power are assembled from per-class
 //! power models at per-cluster operating points, sharing one DRAM
-//! bandwidth budget — the same composition [`FrequencySweep::evaluate`]
-//! uses for the homogeneous chip, generalised to a mixed cluster vector.
+//! bandwidth budget — the same composition
+//! [`FrequencySweep::evaluate`](crate::FrequencySweep::evaluate) uses for
+//! the homogeneous chip, generalised to a mixed cluster vector.
 //!
 //! The output of [`HeteroSweep::run`] is a cloud of [`HeteroPoint`]s;
 //! [`pareto_frontier`], [`iso_power`] and [`iso_qos`] carve out the
@@ -20,7 +21,7 @@
 
 use crate::config::ServerModel;
 use crate::measure::{ClusterMeasurement, MeasureError};
-use crate::sweep::{FrequencySweep, SweepError};
+use crate::sweep::SweepError;
 use ntc_power::{CoreActivity, CorePowerModel, DramTraffic, PowerBreakdown};
 use ntc_tech::{BodyBias, CoreClass, OperatingPoint, TechError, Technology, Watts};
 use serde::{Deserialize, Serialize};
@@ -137,15 +138,14 @@ impl HeteroPoint {
     }
 }
 
-/// The heterogeneous sweep driver: per-class frequency ladders, the
-/// big/little mix ratios to enumerate, and the evaluation policy.
+/// The heterogeneous sweep driver: per-class frequency ladders and the
+/// big/little mix ratios to enumerate. Every cluster runs unbiased with
+/// busy cores.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HeteroSweep {
     big_ladder: Vec<f64>,
     little_ladder: Vec<f64>,
     mixes: Vec<(u32, u32)>,
-    bias: BodyBias,
-    activity: CoreActivity,
 }
 
 impl HeteroSweep {
@@ -175,8 +175,6 @@ impl HeteroSweep {
             big_ladder,
             little_ladder,
             mixes,
-            bias: BodyBias::ZERO,
-            activity: CoreActivity::BUSY,
         }
     }
 
@@ -191,43 +189,23 @@ impl HeteroSweep {
         )
     }
 
-    /// Applies a fixed body bias to every cluster (builder style).
-    pub fn with_bias(mut self, bias: BodyBias) -> Self {
-        self.bias = bias;
-        self
-    }
-
-    /// Overrides the core activity (builder style).
-    pub fn with_activity(mut self, activity: CoreActivity) -> Self {
-        self.activity = activity;
-        self
-    }
-
-    /// The big-cluster ladder.
-    pub fn big_ladder(&self) -> &[f64] {
-        &self.big_ladder
-    }
-
-    /// The little-cluster ladder.
-    pub fn little_ladder(&self) -> &[f64] {
-        &self.little_ladder
-    }
-
-    /// The `(big, little)` mixes.
-    pub fn mixes(&self) -> &[(u32, u32)] {
-        &self.mixes
-    }
-
     /// Runs the sweep: for every mix and every per-class ladder pairing,
     /// resolve each cluster's V/f point, measure each distinct
     /// `(class, frequency)` cluster once via `measure`, and compose the
     /// chip. Plans with any unreachable cluster frequency are skipped,
-    /// mirroring the silicon (and [`FrequencySweep::run`]).
+    /// mirroring the silicon (and
+    /// [`FrequencySweep::run`](crate::FrequencySweep::run)).
     ///
     /// `measure` is typically a [`crate::SimMeasurer`] per class behind a
     /// shared [`crate::MeasurementCache`]; results are additionally
     /// memoized here so each `(class, frequency)` simulates at most once
-    /// per sweep even with a cacheless measurer.
+    /// per sweep even with a cacheless measurer. The memo stays in front
+    /// of a cache because a lookup is not free: `HeteroSweep::paper(9)`
+    /// composes 3,240 plans over 29,160 cluster slots from 40 distinct
+    /// measurements, and each lookup serializes and FNV-hashes the profile
+    /// and cluster config into its key (8–16 µs a call in a release build
+    /// on a 2-vCPU host), so serving every slot from the cache would add
+    /// about 0.25–0.45 s to a fast-fidelity pass over every figure.
     ///
     /// # Errors
     ///
@@ -258,8 +236,7 @@ impl HeteroSweep {
             let little_freqs = ladder_for(n_little, &self.little_ladder);
             for &big_mhz in big_freqs {
                 for &little_mhz in little_freqs {
-                    let plan = ChipPlan::big_little(n_big, big_mhz, n_little, little_mhz)
-                        .with_bias(self.bias);
+                    let plan = ChipPlan::big_little(n_big, big_mhz, n_little, little_mhz);
                     let Some(ops) = resolve_ops(&plan, &tech)? else {
                         continue;
                     };
@@ -283,7 +260,8 @@ impl HeteroSweep {
 
     /// Assembles one heterogeneous point from resolved per-cluster
     /// operating points and per-cluster measurements — the mixed-vector
-    /// generalisation of [`FrequencySweep::evaluate`].
+    /// generalisation of
+    /// [`FrequencySweep::evaluate`](crate::FrequencySweep::evaluate).
     fn evaluate<F>(
         &self,
         server: &ServerModel,
@@ -348,8 +326,8 @@ impl HeteroSweep {
                 CoreClass::Big => big_power,
                 CoreClass::Little => little_power,
             };
-            cores_dynamic += core.dynamic_power(*op, self.activity) * cores_per_cluster;
-            cores_static += core.static_power(*op, self.activity) * cores_per_cluster;
+            cores_dynamic += core.dynamic_power(*op, CoreActivity::BUSY) * cores_per_cluster;
+            cores_static += core.static_power(*op, CoreActivity::BUSY) * cores_per_cluster;
             llc += server.llc().static_power()
                 + server.llc().dynamic_power(m.llc_accesses_per_sec) * scale;
             xbar += server.xbar().static_power()
@@ -372,32 +350,6 @@ impl HeteroSweep {
             min_core_uips,
             power,
         })
-    }
-}
-
-impl ChipPlan {
-    /// Applies `bias` to every cluster (builder style).
-    pub fn with_bias(mut self, bias: BodyBias) -> Self {
-        for cluster in &mut self.clusters {
-            cluster.bias = bias;
-        }
-        self
-    }
-}
-
-impl FrequencySweep {
-    /// Lifts this homogeneous ladder into a per-cluster heterogeneous
-    /// sweep: both classes inherit the ladder (the little ladder may be
-    /// overridden afterwards via [`HeteroSweep::new`] if asymmetric
-    /// ladders are wanted), along with this sweep's bias and activity.
-    pub fn per_cluster(&self, mixes: Vec<(u32, u32)>) -> HeteroSweep {
-        HeteroSweep::new(
-            self.frequencies().to_vec(),
-            self.frequencies().to_vec(),
-            mixes,
-        )
-        .with_bias(self.bias())
-        .with_activity(self.activity())
     }
 }
 
@@ -431,7 +383,8 @@ fn ladder_for(n: u32, ladder: &[f64]) -> &[f64] {
 
 /// Resolves every cluster's operating point, or `None` if any cluster's
 /// frequency is unreachable for its class (the plan is skipped, like an
-/// unreachable ladder point in [`FrequencySweep::run`]).
+/// unreachable ladder point in
+/// [`FrequencySweep::run`](crate::FrequencySweep::run)).
 fn resolve_ops(
     plan: &ChipPlan,
     tech: &Technology,
@@ -589,15 +542,6 @@ mod tests {
             assert!(p.min_core_uips > 0.0);
             assert!(p.min_core_uips <= p.uips);
         }
-    }
-
-    #[test]
-    fn per_cluster_lifts_the_homogeneous_ladder() {
-        let sweep = FrequencySweep::over(vec![500.0, 1000.0]);
-        let hetero = sweep.per_cluster(vec![(1, 1)]);
-        assert_eq!(hetero.big_ladder(), &[500.0, 1000.0]);
-        assert_eq!(hetero.little_ladder(), &[500.0, 1000.0]);
-        assert_eq!(hetero.mixes(), &[(1, 1)]);
     }
 
     #[test]

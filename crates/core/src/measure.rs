@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -118,24 +118,6 @@ pub trait ClusterMeasurer {
         let _ = mhz;
         None
     }
-
-    /// Measures a batch of frequencies, returned in caller order.
-    ///
-    /// The default measures each point independently — full fidelity,
-    /// identical to calling [`ClusterMeasurer::measure`] in a loop.
-    /// Backends that can amortize state across points (see
-    /// [`SimMeasurer::measure_ladder`]) override this with a shared-warm-up
-    /// fast path whose results are statistically equivalent but *not*
-    /// bit-identical to per-point measurement; such results must never be
-    /// recorded under per-point [`MeasurementKey`]s.
-    ///
-    /// # Errors
-    ///
-    /// As for [`ClusterMeasurer::measure`]; the first failure aborts the
-    /// batch.
-    fn measure_ladder(&self, freqs: &[f64]) -> Result<Vec<ClusterMeasurement>, MeasureError> {
-        freqs.iter().map(|&mhz| self.measure(mhz)).collect()
-    }
 }
 
 impl<M: ClusterMeasurer + ?Sized> ClusterMeasurer for &M {
@@ -145,10 +127,6 @@ impl<M: ClusterMeasurer + ?Sized> ClusterMeasurer for &M {
 
     fn key(&self, mhz: f64) -> Option<MeasurementKey> {
         (**self).key(mhz)
-    }
-
-    fn measure_ladder(&self, freqs: &[f64]) -> Result<Vec<ClusterMeasurement>, MeasureError> {
-        (**self).measure_ladder(freqs)
     }
 }
 
@@ -338,20 +316,14 @@ impl MeasurementStore {
         self.map.write().insert(key, measurement);
     }
 
-    /// Cache hits since construction (or [`MeasurementStore::reset_counters`]).
+    /// Cache hits since construction.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Cache misses since construction (or [`MeasurementStore::reset_counters`]).
+    /// Cache misses since construction.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Zeroes the hit/miss counters (the memo itself is kept).
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
     }
 
     /// Number of memoized measurements.
@@ -362,11 +334,6 @@ impl MeasurementStore {
     /// Whether the memo is empty.
     pub fn is_empty(&self) -> bool {
         self.map.read().is_empty()
-    }
-
-    /// The persistence file, if configured.
-    pub fn path(&self) -> Option<&Path> {
-        self.path.as_deref()
     }
 
     /// Writes the memo to the persistence file (no-op without one).
@@ -429,11 +396,6 @@ impl<M: ClusterMeasurer> MeasurementCache<M> {
     /// Cache misses recorded by the backing store.
     pub fn misses(&self) -> u64 {
         self.store.misses()
-    }
-
-    /// The wrapped measurer.
-    pub fn inner(&self) -> &M {
-        &self.inner
     }
 }
 
@@ -594,94 +556,6 @@ impl ClusterMeasurer for SimMeasurer {
             self.seed,
             &self.effective_config(mhz),
         ))
-    }
-
-    /// The batched ladder: one warm-up serves every point in the batch.
-    ///
-    /// The cluster is built and warmed once at the batch's *highest*
-    /// frequency, then walked down the ladder: before each lower point
-    /// the clock is rebased in place ([`ClusterSim::rebase_frequency`] —
-    /// a modeled DVFS transition) and re-settled for one eighth of the
-    /// warm-up window before its measurement window runs. Caches,
-    /// predictors and queues carry over, which is what makes this
-    /// `O(warmup + n·(settle + measure))` instead of
-    /// `O(n·(warmup + measure))`.
-    ///
-    /// Results come back in **caller order** regardless of the internal
-    /// descending walk. They are a distinct fidelity mode: statistically
-    /// equivalent to per-point measurement (each window still satisfies
-    /// the warm-then-measure discipline) but not bit-identical to it, so
-    /// they are deliberately *never* stored under per-point
-    /// [`MeasurementKey`]s — [`MeasurementCache`] keeps its default
-    /// per-point path and does not route through this override.
-    ///
-    /// # Errors
-    ///
-    /// [`MeasureError::InvalidFrequency`] if any requested frequency is
-    /// non-positive or non-finite (checked up front — no partial batch
-    /// runs).
-    fn measure_ladder(&self, freqs: &[f64]) -> Result<Vec<ClusterMeasurement>, MeasureError> {
-        let _span = ntc_telemetry::trace::span_with("measure", || {
-            format!("measure ladder x{}", freqs.len())
-        });
-        for &mhz in freqs {
-            check_frequency(mhz)?;
-        }
-        if freqs.is_empty() {
-            return Ok(Vec::new());
-        }
-        // Walk order: descending frequency (rebase only lengthens the
-        // clock period). Ties keep caller order; duplicates re-measure.
-        let mut order: Vec<usize> = (0..freqs.len()).collect();
-        order.sort_by(|&a, &b| {
-            freqs[b]
-                .partial_cmp(&freqs[a])
-                .expect("frequencies validated finite")
-        });
-
-        let seed = self.seed;
-        let profile = self.profile.clone();
-        let config = self.effective_config(freqs[order[0]]);
-        let mut sim = ClusterSim::new(config, |core| {
-            ProfileStream::new(profile.clone(), seed.wrapping_mul(64) + u64::from(core))
-        });
-        prewarm_cluster(&mut sim, &self.profile);
-        sim.warm_up(self.window.warmup_cycles);
-        let settle = (self.window.warmup_cycles / 8).max(1);
-
-        let mut out = vec![None; freqs.len()];
-        for (walked, &idx) in order.iter().enumerate() {
-            let mhz = freqs[idx];
-            if walked > 0 {
-                sim.rebase_frequency(mhz);
-                sim.warm_up(settle);
-            }
-            let energy = crate::observe::energy_armed().then(|| {
-                let probe =
-                    ntc_sim::EnergyProbe::with_window(crate::observe::energy_window_cycles());
-                let handle = probe.handle();
-                sim.attach_probe(Box::new(probe));
-                handle
-            });
-            let stats = sim.run_measured(self.window.measure_cycles);
-            let measurement = ClusterMeasurement::from_stats(&stats);
-            if let Some(handle) = energy {
-                sim.detach_probe();
-                crate::observe::record_run(crate::observe::RunActivity {
-                    mhz,
-                    total: measurement,
-                    cycles: stats.cycles,
-                    wall_ps: stats.wall_ps,
-                    windows: handle.finish(),
-                    coalesced: handle.coalesced(),
-                });
-            }
-            out[idx] = Some(measurement);
-        }
-        Ok(out
-            .into_iter()
-            .map(|m| m.expect("every index walked"))
-            .collect())
     }
 }
 
@@ -1008,68 +882,6 @@ mod tests {
             big.uips
         );
         assert!(little.uips > 0.0);
-    }
-
-    #[test]
-    fn batched_ladder_matches_per_point_statistically() {
-        let p = WorkloadProfile::cloudsuite(CloudSuiteApp::DataServing);
-        let m = SimMeasurer::fast(p);
-        // Caller order is deliberately scrambled; results must come back
-        // in it, each point labeled with its own frequency.
-        let freqs = [500.0, 2000.0, 1000.0];
-        let batched = m.measure_ladder(&freqs).unwrap();
-        assert_eq!(batched.len(), 3);
-        for (b, &mhz) in batched.iter().zip(&freqs) {
-            assert_eq!(b.mhz, mhz);
-            assert!(b.uips > 0.0);
-        }
-        // Physics survives batching: UIPS grows and UIPC falls with
-        // frequency, exactly as in per-point measurement.
-        let (m500, m2000, m1000) = (&batched[0], &batched[1], &batched[2]);
-        assert!(m2000.uips > m1000.uips && m1000.uips > m500.uips);
-        assert!(m500.uipc > m2000.uipc);
-        // And each point lands near its cold per-point counterpart —
-        // batching is a fidelity mode, not a different machine.
-        for (b, &mhz) in batched.iter().zip(&freqs) {
-            let cold = m.measure(mhz).unwrap();
-            assert!(
-                (b.uips / cold.uips - 1.0).abs() < 0.35,
-                "batched {mhz} MHz UIPS strays from per-point: {} vs {}",
-                b.uips,
-                cold.uips
-            );
-        }
-    }
-
-    #[test]
-    fn batched_ladder_validates_before_running_and_handles_edges() {
-        let p = WorkloadProfile::cloudsuite(CloudSuiteApp::WebSearch);
-        let m = SimMeasurer::fast(p);
-        assert!(matches!(
-            m.measure_ladder(&[1000.0, f64::NAN]),
-            Err(MeasureError::InvalidFrequency { .. })
-        ));
-        assert!(m.measure_ladder(&[]).unwrap().is_empty());
-        // A single-point batch is just a measurement.
-        let one = m.measure_ladder(&[800.0]).unwrap();
-        assert_eq!(one.len(), 1);
-        assert_eq!(one[0].mhz, 800.0);
-        // Duplicate frequencies each get their own (re-settled) window.
-        let dup = m.measure_ladder(&[600.0, 600.0]).unwrap();
-        assert_eq!(dup.len(), 2);
-        assert!(dup.iter().all(|x| x.uips > 0.0));
-    }
-
-    #[test]
-    fn default_measure_ladder_is_the_per_point_loop() {
-        // TableMeasurer does not override the batch path, so a ladder is
-        // exactly a mapped measure() — bit-identical, any order.
-        let t = TableMeasurer::synthetic(3.0, 1.5);
-        let freqs = [700.0, 300.0, 1500.0];
-        let batch = t.measure_ladder(&freqs).unwrap();
-        for (b, &mhz) in batch.iter().zip(&freqs) {
-            assert_eq!(*b, t.measure(mhz).unwrap());
-        }
     }
 
     #[test]

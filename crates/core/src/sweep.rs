@@ -21,10 +21,6 @@ use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// One worker chunk's batched ladder measurement, tagged with the chunk
-/// index so [`FrequencySweep::run_batched`] can reassemble ladder order.
-type BatchSlot = (usize, Result<Vec<ClusterMeasurement>, MeasureError>);
-
 /// One evaluated frequency point.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SweepPoint {
@@ -212,81 +208,6 @@ impl FrequencySweep {
             points.push(self.evaluate(server, op, cluster));
         }
         log_cache_use(cache_before);
-        Ok(SweepResult::new(points))
-    }
-
-    /// Runs the sweep with **batched ladder measurement**: the reachable
-    /// ladder is split into contiguous per-worker chunks, and each worker
-    /// measures its whole chunk through one
-    /// [`ClusterMeasurer::measure_ladder`] call — for
-    /// [`SimMeasurer`](crate::measure::SimMeasurer) that is one warm-up
-    /// per chunk instead of one per point, a several-fold cut in
-    /// simulated cycles on the paper's 20-point ladder.
-    ///
-    /// Fidelity contract: with a measurer whose `measure_ladder` is the
-    /// per-point default (e.g.
-    /// [`TableMeasurer`](crate::measure::TableMeasurer) or a
-    /// [`MeasurementCache`](crate::measure::MeasurementCache)), the
-    /// result is identical to
-    /// [`FrequencySweep::run`]. With a true batched backend the points
-    /// are statistically equivalent but not bit-identical to per-point
-    /// measurement, and they bypass the measurement cache by design.
-    ///
-    /// # Errors
-    ///
-    /// As for [`FrequencySweep::run`]. A batch failure is attributed to
-    /// the lowest frequency of its chunk (batched backends validate the
-    /// whole chunk up front).
-    pub fn run_batched<M: ClusterMeasurer + Sync>(
-        &self,
-        server: &ServerModel,
-        measurer: &M,
-    ) -> Result<SweepResult, SweepError> {
-        let _span = ntc_telemetry::trace::span_cat("sweep", "sweep.run_batched");
-        let ops = self.reachable_ops(server)?;
-        let workers = worker_count(ops.len());
-        let chunk_len = ops.len().div_ceil(workers);
-        let chunks: Vec<&[(f64, OperatingPoint)]> = ops.chunks(chunk_len).collect();
-
-        let measured: Mutex<Vec<BatchSlot>> = Mutex::new(Vec::with_capacity(chunks.len()));
-        crossbeam::scope(|s| {
-            for (ci, chunk) in chunks.iter().enumerate() {
-                let measured = &measured;
-                s.spawn(move || {
-                    let freqs: Vec<f64> = chunk.iter().map(|&(mhz, _)| mhz).collect();
-                    let result = {
-                        let _span = ntc_telemetry::trace::span_with("sweep", || {
-                            format!(
-                                "ladder batch {:.0}-{:.0} MHz",
-                                freqs[0],
-                                freqs[freqs.len() - 1]
-                            )
-                        });
-                        measurer.measure_ladder(&freqs)
-                    };
-                    measured.lock().push((ci, result));
-                });
-            }
-        })
-        .expect("sweep worker threads");
-
-        let mut measured = measured.into_inner();
-        measured.sort_unstable_by_key(|&(ci, _)| ci);
-        let mut points = Vec::with_capacity(ops.len());
-        for (ci, result) in measured {
-            let chunk = chunks[ci];
-            let batch = result.map_err(|source| SweepError::Measure {
-                mhz: chunk
-                    .iter()
-                    .map(|&(mhz, _)| mhz)
-                    .fold(f64::INFINITY, f64::min),
-                source,
-            })?;
-            debug_assert_eq!(batch.len(), chunk.len());
-            for (&(_, op), cluster) in chunk.iter().zip(batch) {
-                points.push(self.evaluate(server, op, cluster));
-            }
-        }
         Ok(SweepResult::new(points))
     }
 
@@ -564,46 +485,6 @@ mod tests {
         assert_eq!(parallel.points().len(), serial.points().len());
         for (p, s) in parallel.points().iter().zip(serial.points()) {
             assert_eq!(p, s, "parallel and serial diverge at {} MHz", s.mhz);
-        }
-    }
-
-    #[test]
-    fn batched_run_matches_run_for_per_point_measurers() {
-        // TableMeasurer keeps the default measure_ladder, so the batched
-        // driver must reproduce the per-point sweep bit for bit.
-        let server = server();
-        let m = TableMeasurer::synthetic(3.2, 1.6);
-        let sweep = FrequencySweep::paper_ladder();
-        let batched = sweep.run_batched(&server, &m).unwrap();
-        let plain = sweep.run(&server, &m).unwrap();
-        assert_eq!(batched.points().len(), plain.points().len());
-        for (b, p) in batched.points().iter().zip(plain.points()) {
-            assert_eq!(b, p, "batched sweep diverged at {} MHz", p.mhz);
-        }
-    }
-
-    #[test]
-    fn batched_run_reports_chunk_failures_at_their_lowest_frequency() {
-        struct FailsAbove(f64);
-        impl ClusterMeasurer for FailsAbove {
-            fn measure(&self, mhz: f64) -> Result<ClusterMeasurement, MeasureError> {
-                if mhz > self.0 {
-                    Err(MeasureError::Failed {
-                        detail: format!("no data beyond {} MHz", self.0),
-                    })
-                } else {
-                    TableMeasurer::synthetic(3.2, 1.6).measure(mhz)
-                }
-            }
-        }
-        let server = server();
-        let err = FrequencySweep::paper_ladder()
-            .run_batched(&server, &FailsAbove(0.0))
-            .unwrap_err();
-        match err {
-            // Every chunk fails; the first chunk holds the ladder bottom.
-            SweepError::Measure { mhz, .. } => assert!((mhz - 100.0).abs() < 1e-9),
-            other => panic!("expected a Measure error, got {other:?}"),
         }
     }
 

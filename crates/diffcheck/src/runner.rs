@@ -3,7 +3,7 @@
 //! [`run`] walks case indices from a single seed, round-robins them over
 //! the selected oracle pairs, and stops on a time budget, a case cap, or
 //! after collecting enough divergences. Each divergence is shrunk (see
-//! [`crate::shrink`]) unless shrinking is off, and reported with a
+//! [`crate::shrink`](mod@crate::shrink)) unless shrinking is off, and reported with a
 //! one-line repro command.
 
 use crate::case::CaseShape;

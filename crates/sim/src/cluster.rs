@@ -114,43 +114,6 @@ impl<S: InstructionStream> ClusterSim<S> {
         0
     }
 
-    /// Lowers the core clock in place — a DVFS transition between
-    /// measurement windows, the primitive behind batched frequency
-    /// ladders (one warm-up serves every point below it).
-    ///
-    /// The engine derives wall time as `cycle × period` afresh each
-    /// window, so growing the period moves the clock's wall position
-    /// strictly *forward* — no event rewinding, no state surgery.
-    /// Physically this models the PLL-relock pause of a real frequency
-    /// switch: in-flight DRAM fills whose completion instants land
-    /// inside the jump simply complete during the transition.
-    ///
-    /// Microarchitectural state (caches, predictors, queues) carries
-    /// over, which is exactly the point; note that measurements taken
-    /// after a rebase are a *batched-fidelity* mode — statistically
-    /// equivalent to, but not bit-identical with, a cold per-point run,
-    /// so they must not share cache keys with per-point measurements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mhz` is not positive and finite, or if it would
-    /// *shorten* the clock period (frequency must descend — raising it
-    /// would move wall time backwards past scheduled memory events).
-    pub fn rebase_frequency(&mut self, mhz: f64) {
-        assert!(
-            mhz.is_finite() && mhz > 0.0,
-            "cannot rebase to {mhz} MHz: frequency must be positive and finite"
-        );
-        let new_period = crate::period_ps(mhz);
-        assert!(
-            new_period >= self.config.core_period_ps(),
-            "cannot rebase {} MHz -> {mhz} MHz: batched ladders must walk \
-             frequencies in descending order (the clock period may only grow)",
-            self.config.core_mhz
-        );
-        self.config.core_mhz = mhz;
-    }
-
     /// Installs data lines into one core's L1-D and the shared LLC —
     /// checkpoint-style cache warming, mirroring the paper's practice of
     /// launching measurements from checkpoints with warmed caches.
@@ -300,15 +263,19 @@ mod tests {
 
     #[test]
     fn memory_bound_uipc_improves_at_low_frequency() {
-        let uipc_at = |mhz: f64| {
+        let uipc_at = |mhz: f64, period_ps: u64| {
             let mut sim = ClusterSim::new(SimConfig::paper_cluster(mhz), |i| {
                 RandomAccessStream::new(256 << 20, 0.30, 6, 100 + u64::from(i))
             });
             sim.warm_up(3_000);
-            sim.run_measured(10_000).uipc()
+            let window = sim.run_measured(10_000);
+            // The window reports its own clock and wall time (cycles x period).
+            assert_eq!(window.core_mhz, mhz);
+            assert_eq!(window.wall_ps, 10_000 * period_ps);
+            window.uipc()
         };
-        let fast = uipc_at(2000.0);
-        let slow = uipc_at(200.0);
+        let fast = uipc_at(2000.0, 500); // 500 ps at 2 GHz
+        let slow = uipc_at(200.0, 5_000); // 5 ns at 200 MHz
         assert!(
             slow > fast * 1.3,
             "UIPC must rise as the clock slows: {slow:.3} vs {fast:.3}"
@@ -403,42 +370,6 @@ mod tests {
             pf < base,
             "and the wasted bandwidth costs real throughput: {pf:.3} vs {base:.3}"
         );
-    }
-
-    #[test]
-    fn rebase_frequency_descends_and_retimes_windows() {
-        let mut sim = ClusterSim::new(SimConfig::paper_cluster(2000.0), |i| {
-            RandomAccessStream::new(256 << 20, 0.30, 6, 100 + u64::from(i))
-        });
-        sim.warm_up(3_000);
-        let hi = sim.run_measured(5_000);
-        assert_eq!(hi.core_mhz, 2000.0);
-        assert_eq!(hi.wall_ps, 5_000 * 500); // 500 ps at 2 GHz
-
-        sim.rebase_frequency(500.0);
-        sim.warm_up(500); // settle after the DVFS transition
-        let lo = sim.run_measured(5_000);
-        assert_eq!(lo.core_mhz, 500.0);
-        assert_eq!(lo.wall_ps, 5_000 * 2_000); // 2 ns at 500 MHz
-
-        // Memory-bound work retires more per cycle once the clock slows.
-        assert!(
-            lo.uipc() > hi.uipc(),
-            "UIPC must rise across a downward rebase: {} vs {}",
-            lo.uipc(),
-            hi.uipc()
-        );
-        // And the machine keeps running normally afterwards.
-        assert!(lo.user_instrs() > 0 && lo.dram.reads > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "descending order")]
-    fn rebase_frequency_rejects_ascent() {
-        let mut sim = ClusterSim::new(SimConfig::paper_cluster(1000.0), |_| {
-            ComputeStream::new(0.002)
-        });
-        sim.rebase_frequency(1500.0);
     }
 
     /// Write-sharing stream: stores walk a small shared region so ownership

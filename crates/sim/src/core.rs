@@ -340,11 +340,6 @@ impl Core {
         }
     }
 
-    /// The learning predictor's misprediction rate, if one is configured.
-    pub fn predictor_rate(&self) -> Option<f64> {
-        self.bpred.as_ref().map(|(p, _)| p.misprediction_rate())
-    }
-
     /// The core's id within the cluster.
     pub fn id(&self) -> u32 {
         self.id

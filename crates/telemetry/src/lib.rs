@@ -11,7 +11,7 @@
 //! - [`trace`] — begin/end spans with thread ids, buffered per thread
 //!   and exported as Chrome `trace_event` JSON that loads directly in
 //!   `about:tracing` or [Perfetto](https://ui.perfetto.dev).
-//! - [`env`] — one consistent parser for the `NTC_*` environment
+//! - [`env`](mod@env) — one consistent parser for the `NTC_*` environment
 //!   variables (`NTC_TRACE`, `NTC_METRICS`, `NTC_CACHE`,
 //!   `NTC_FIDELITY`) that warns once per variable on invalid values.
 //!
