@@ -240,7 +240,7 @@ impl HeteroSweep {
                     let Some(ops) = resolve_ops(&plan, &tech)? else {
                         continue;
                     };
-                    let point = self.evaluate(
+                    let point = Self::evaluate(
                         server,
                         plan,
                         ops,
@@ -263,7 +263,6 @@ impl HeteroSweep {
     /// generalisation of
     /// [`FrequencySweep::evaluate`](crate::FrequencySweep::evaluate).
     fn evaluate<F>(
-        &self,
         server: &ServerModel,
         plan: ChipPlan,
         ops: Vec<OperatingPoint>,
