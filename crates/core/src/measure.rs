@@ -120,16 +120,6 @@ pub trait ClusterMeasurer {
     }
 }
 
-impl<M: ClusterMeasurer + ?Sized> ClusterMeasurer for &M {
-    fn measure(&self, mhz: f64) -> Result<ClusterMeasurement, MeasureError> {
-        (**self).measure(mhz)
-    }
-
-    fn key(&self, mhz: f64) -> Option<MeasurementKey> {
-        (**self).key(mhz)
-    }
-}
-
 fn check_frequency(mhz: f64) -> Result<(), MeasureError> {
     if mhz.is_finite() && mhz > 0.0 {
         Ok(())

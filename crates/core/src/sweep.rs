@@ -87,17 +87,15 @@ impl Error for SweepError {
 pub struct FrequencySweep {
     frequencies: Vec<f64>,
     bias: BodyBias,
-    activity: CoreActivity,
 }
 
 impl FrequencySweep {
     /// The paper's ladder: 100 MHz to 2 GHz in 100 MHz steps, no body
-    /// bias, busy cores.
+    /// bias.
     pub fn paper_ladder() -> Self {
         FrequencySweep {
             frequencies: (1..=20).map(|i| f64::from(i) * 100.0).collect(),
             bias: BodyBias::ZERO,
-            activity: CoreActivity::BUSY,
         }
     }
 
@@ -115,19 +113,12 @@ impl FrequencySweep {
         FrequencySweep {
             frequencies,
             bias: BodyBias::ZERO,
-            activity: CoreActivity::BUSY,
         }
     }
 
     /// Applies a fixed body bias at every point (builder style).
     pub fn with_bias(mut self, bias: BodyBias) -> Self {
         self.bias = bias;
-        self
-    }
-
-    /// Overrides the core activity (builder style).
-    pub fn with_activity(mut self, activity: CoreActivity) -> Self {
-        self.activity = activity;
         self
     }
 
@@ -139,11 +130,6 @@ impl FrequencySweep {
     /// The body bias applied at every point.
     pub fn bias(&self) -> BodyBias {
         self.bias
-    }
-
-    /// The core activity assumed at every point.
-    pub fn activity(&self) -> CoreActivity {
-        self.activity
     }
 
     /// Runs the sweep: measure each reachable frequency and assemble its
@@ -272,7 +258,8 @@ impl FrequencySweep {
     }
 
     /// Assembles one sweep point from an operating point and a cluster
-    /// measurement (exposed for custom drivers and ablations).
+    /// measurement, with every core busy (exposed for custom drivers and
+    /// ablations).
     pub fn evaluate(
         &self,
         server: &ServerModel,
@@ -299,8 +286,8 @@ impl FrequencySweep {
         let uips = cluster.uips * n_clusters * scale;
 
         let power = PowerBreakdown {
-            cores_dynamic: server.core_power().dynamic_power(op, self.activity) * n_cores,
-            cores_static: server.core_power().static_power(op, self.activity) * n_cores,
+            cores_dynamic: server.core_power().dynamic_power(op, CoreActivity::BUSY) * n_cores,
+            cores_static: server.core_power().static_power(op, CoreActivity::BUSY) * n_cores,
             llc: server.llc().static_power() * n_clusters
                 + server.llc().dynamic_power(cluster.llc_accesses_per_sec) * n_clusters * scale,
             xbar: server.xbar().static_power() * n_clusters

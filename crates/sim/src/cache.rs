@@ -82,34 +82,92 @@ impl PackedBits {
 }
 
 /// Tag per way. A real tag is a line number shifted right by the set bits,
-/// so it is at most `u64::MAX >> 6`. The workloads' addresses stay below
-/// 2^35, and 32-bit tags reach 2^38 bytes even in a one-set array, so an
-/// array holds its tags in 32 bits until it meets one that does not fit.
+/// so it is at most `u64::MAX >> 6`. An array holds its tags in the
+/// narrowest of 16, 32 and 64 bits that has held every tag stored in it:
+/// it starts at 16 and widens, keeping every resident tag, the first time
+/// it must store a tag its width cannot hold. It never narrows again.
 #[derive(Debug, Clone)]
 enum Tags {
-    /// Every valid tag is below `u32::MAX`, which marks an invalid way.
-    Narrow(Vec<u32>),
-    /// Tags of any width; `u64::MAX`, which no tag reaches, marks an
-    /// invalid way.
-    Wide(Vec<u64>),
+    W16(Vec<u16>),
+    W32(Vec<u32>),
+    W64(Vec<u64>),
 }
 
-/// `tag` as a 32-bit tag, if it is below the narrow invalid marker.
-fn narrow(tag: u64) -> Option<u32> {
-    u32::try_from(tag).ok().filter(|&t| t != u32::MAX)
+/// A tag word. Its all-ones value marks an invalid way, so it holds the
+/// tags below that value; for `u64` that is every tag.
+trait TagWord: Copy + Eq + TryFrom<u64> + Into<u64> {
+    const INVALID: Self;
+}
+
+impl TagWord for u16 {
+    const INVALID: Self = u16::MAX;
+}
+
+impl TagWord for u32 {
+    const INVALID: Self = u32::MAX;
+}
+
+impl TagWord for u64 {
+    const INVALID: Self = u64::MAX;
+}
+
+/// `tag` as a `T`, if `T` holds it.
+fn fit<T: TagWord>(tag: u64) -> Option<T> {
+    T::try_from(tag).ok().filter(|&t| t != T::INVALID)
+}
+
+/// The index in `tags` of `tag`. An array too narrow for `tag` cannot hold
+/// it, so the lookup misses without widening.
+fn position<T: TagWord>(tags: &[T], tag: u64) -> Option<usize> {
+    let tag = fit::<T>(tag)?;
+    tags.iter().position(|&t| t == tag)
+}
+
+/// The tag of `t`, `None` for the invalid marker.
+fn tag_of<T: TagWord>(t: T) -> Option<u64> {
+    (t != T::INVALID).then(|| t.into())
+}
+
+/// `tags` in the wider word `U`, each invalid marker becoming `U`'s.
+fn widen<T: TagWord, U: TagWord>(tags: &[T]) -> Vec<U> {
+    tags.iter()
+        .map(|&t| {
+            tag_of(t).map_or(U::INVALID, |t| {
+                fit(t).expect("a wider tag word holds every narrower tag")
+            })
+        })
+        .collect()
+}
+
+/// Stores `tag` in way `w` of `tags` and returns `None` if `T` holds it;
+/// otherwise leaves `tags` alone and returns a copy of them at the
+/// narrowest wider width that holds it, with `tag` stored in way `w`.
+fn store<T: TagWord>(tags: &mut [T], w: usize, tag: u64) -> Option<Tags> {
+    if let Some(t) = fit(tag) {
+        tags[w] = t;
+        return None;
+    }
+    let mut wider = match fit::<u32>(tag) {
+        Some(_) => Tags::W32(widen(tags)),
+        None => Tags::W64(widen(tags)),
+    };
+    wider.set(w, tag);
+    Some(wider)
 }
 
 impl Tags {
+    /// `len` invalid ways of 16-bit tags.
+    fn new(len: usize) -> Self {
+        Tags::W16(vec![u16::INVALID; len])
+    }
+
     /// The way among `ways` holding `tag`.
     fn find(&self, ways: Range<usize>, tag: u64) -> Option<usize> {
         let base = ways.start;
         let w = match self {
-            Tags::Narrow(tags) => {
-                // A narrow array holds no wider tag.
-                let tag = narrow(tag)?;
-                tags[ways].iter().position(|&t| t == tag)
-            }
-            Tags::Wide(tags) => tags[ways].iter().position(|&t| t == tag),
+            Tags::W16(tags) => position(&tags[ways], tag),
+            Tags::W32(tags) => position(&tags[ways], tag),
+            Tags::W64(tags) => position(&tags[ways], tag),
         };
         w.map(|w| base + w)
     }
@@ -117,44 +175,43 @@ impl Tags {
     /// The tag of way `w`, `None` if the way is invalid.
     fn get(&self, w: usize) -> Option<u64> {
         match self {
-            Tags::Narrow(tags) => (tags[w] != u32::MAX).then(|| u64::from(tags[w])),
-            Tags::Wide(tags) => (tags[w] != u64::MAX).then_some(tags[w]),
+            Tags::W16(tags) => tag_of(tags[w]),
+            Tags::W32(tags) => tag_of(tags[w]),
+            Tags::W64(tags) => tag_of(tags[w]),
         }
     }
 
-    /// Stores `tag` in way `w`. A tag of `u32::MAX` or more converts a
-    /// narrow array to 64-bit tags first, once and for good.
+    /// Stores `tag` in way `w`, widening the array first if its width
+    /// cannot hold `tag`.
     fn set(&mut self, w: usize, tag: u64) {
-        if let Tags::Narrow(tags) = self {
-            if let Some(t) = narrow(tag) {
-                tags[w] = t;
-                return;
-            }
-            // Each invalid marker becomes the wide one.
-            let wide = tags
-                .iter()
-                .map(|&t| narrow(t.into()).map_or(u64::MAX, u64::from))
-                .collect();
-            *self = Tags::Wide(wide);
-        }
-        if let Tags::Wide(tags) = self {
-            tags[w] = tag;
+        let wider = match self {
+            Tags::W16(tags) => store(tags, w, tag),
+            Tags::W32(tags) => store(tags, w, tag),
+            Tags::W64(tags) => store(tags, w, tag),
+        };
+        if let Some(wider) = wider {
+            *self = wider;
         }
     }
 
     /// Marks way `w` invalid.
     fn clear(&mut self, w: usize) {
         match self {
-            Tags::Narrow(tags) => tags[w] = u32::MAX,
-            Tags::Wide(tags) => tags[w] = u64::MAX,
+            Tags::W16(tags) => tags[w] = u16::INVALID,
+            Tags::W32(tags) => tags[w] = u32::INVALID,
+            Tags::W64(tags) => tags[w] = u64::INVALID,
         }
     }
 
     /// Number of valid ways.
     fn valid(&self) -> usize {
+        fn count<T: TagWord>(tags: &[T]) -> usize {
+            tags.iter().filter(|&&t| t != T::INVALID).count()
+        }
         match self {
-            Tags::Narrow(tags) => tags.iter().filter(|&&t| t != u32::MAX).count(),
-            Tags::Wide(tags) => tags.iter().filter(|&&t| t != u64::MAX).count(),
+            Tags::W16(tags) => count(tags),
+            Tags::W32(tags) => count(tags),
+            Tags::W64(tags) => count(tags),
         }
     }
 }
@@ -162,9 +219,9 @@ impl Tags {
 /// A set-associative array.
 ///
 /// Way `w` of set `s` is index `s * ways + w` of three parallel arrays:
-/// 32-bit tags (64-bit once a tag needs it), one-byte LRU stamps and
-/// dirty bits; each set also has a one-byte clock. A lookup scans only
-/// the tags, and no array of the paper's 4 MB LLC exceeds 256 KB.
+/// 16-bit tags (32- or 64-bit once a tag needs it), one-byte LRU stamps
+/// and dirty bits; each set also has a one-byte clock. A lookup scans only
+/// the tags, and no array of the paper's 4 MB LLC exceeds 128 KB.
 #[derive(Debug, Clone)]
 pub struct SetAssocArray {
     ways: usize,
@@ -210,7 +267,7 @@ impl SetAssocArray {
             ways: config.ways as usize,
             set_bits: sets.trailing_zeros(),
             set_mask: sets - 1,
-            tags: Tags::Narrow(vec![u32::MAX; total]),
+            tags: Tags::new(total),
             stamps: vec![0; total],
             clocks: vec![0; sets as usize],
             dirty: PackedBits::new(total, 1),
@@ -437,42 +494,87 @@ mod tests {
         );
     }
 
+    /// The width of `c`'s tags in bits.
+    fn tag_bits(c: &SetAssocArray) -> u32 {
+        match c.tags {
+            Tags::W16(_) => 16,
+            Tags::W32(_) => 32,
+            Tags::W64(_) => 64,
+        }
+    }
+
+    /// Asserts that `c` has no line at `line_addr` and that looking it up
+    /// and invalidating it leave the tag width alone.
+    fn misses_without_widening(c: &mut SetAssocArray, line_addr: u64) {
+        let bits = tag_bits(c);
+        assert!(!c.probe(line_addr), "{line_addr:#x} probed present");
+        assert_eq!(c.invalidate(line_addr), None, "{line_addr:#x} invalidated");
+        assert_eq!(tag_bits(c), bits, "a lookup of {line_addr:#x} widened");
+    }
+
+    /// Asserts that `c.access(line_addr, write)` misses and evicts `victim`.
+    fn evicts(c: &mut SetAssocArray, line_addr: u64, write: bool, victim: (u64, bool)) {
+        match c.access(line_addr, write) {
+            AccessOutcome::Miss { victim: Some(v) } => assert_eq!((v.line_addr, v.dirty), victim),
+            other => panic!("{line_addr:#x}: expected eviction of {victim:?}, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn a_tag_too_wide_for_32_bits_widens_the_array_once() {
-        // One set of 2 ways: the tag is the line number.
+    fn tags_widen_from_16_to_32_to_64_bits_keeping_every_line() {
+        // One set of 2 ways: the tag is the line number. Each width's
+        // all-ones value marks an invalid way, so it holds the tags below.
+        let line = |tag: u64| tag * 64;
         let mut c = SetAssocArray::new(CacheConfig::new(2 * 64, 2));
-        c.access(64, true);
-        assert!(matches!(c.tags, Tags::Narrow(_)));
-        // Tag `u32::MAX` is the narrow invalid marker, so it widens too.
-        let widest_narrow = u64::from(u32::MAX - 1) * 64;
-        let first_wide = u64::from(u32::MAX) * 64;
-        c.access(widest_narrow, false);
-        assert!(matches!(c.tags, Tags::Narrow(_)));
-        assert!(!c.probe(first_wide), "a narrow array holds no wide tag");
-        assert_eq!(c.invalidate(first_wide), None);
-        match c.access(first_wide, false) {
-            AccessOutcome::Miss { victim: Some(v) } => {
-                assert_eq!((v.line_addr, v.dirty), (64, true))
-            }
-            other => panic!("expected eviction of line 64, got {other:?}"),
-        }
-        assert!(matches!(c.tags, Tags::Wide(_)));
-        assert!(c.probe(widest_narrow) && c.probe(first_wide));
-        // The highest line, then narrow tags again: the array stays wide
-        // and every line behaves as before.
-        match c.access(!63, true) {
-            AccessOutcome::Miss { victim: Some(v) } => assert_eq!(v.line_addr, widest_narrow),
-            other => panic!("expected eviction of {widest_narrow}, got {other:?}"),
-        }
-        match c.access(128, false) {
-            AccessOutcome::Miss { victim: Some(v) } => assert_eq!(v.line_addr, first_wide),
-            other => panic!("expected eviction of {first_wide}, got {other:?}"),
-        }
-        assert!(matches!(c.tags, Tags::Wide(_)));
+        assert_eq!(tag_bits(&c), 16);
+        c.access(line(1), true);
+        c.access(line(u64::from(u16::MAX - 1)), true);
+        assert_eq!((tag_bits(&c), c.resident_lines()), (16, 2));
+        // Too wide for 16 bits: the marker itself, and a tag whose low 16
+        // bits are a resident tag.
+        misses_without_widening(&mut c, line(u64::from(u16::MAX)));
+        misses_without_widening(&mut c, line((1 << 16) | 1));
+
+        // 16 → 32 bits: the dirty line 0xfffe stays, then leaves dirty.
+        evicts(&mut c, line(u64::from(u16::MAX)), false, (line(1), true));
+        assert_eq!(tag_bits(&c), 32);
+        assert!(c.probe(line(u64::from(u16::MAX - 1))) && c.probe(line(u64::from(u16::MAX))));
+        evicts(
+            &mut c,
+            line(u64::from(u32::MAX - 1)),
+            true,
+            (line(u64::from(u16::MAX - 1)), true),
+        );
+        assert_eq!(tag_bits(&c), 32);
+        misses_without_widening(&mut c, line(u64::from(u32::MAX)));
+        misses_without_widening(&mut c, line((1 << 32) | u64::from(u16::MAX)));
+
+        // 32 → 64 bits: the dirty line 0xfffffffe stays, then leaves dirty.
+        evicts(
+            &mut c,
+            line(u64::from(u32::MAX)),
+            false,
+            (line(u64::from(u16::MAX)), false),
+        );
+        assert_eq!(tag_bits(&c), 64);
+        assert!(c.probe(line(u64::from(u32::MAX - 1))) && c.probe(line(u64::from(u32::MAX))));
+        evicts(&mut c, !63, true, (line(u64::from(u32::MAX - 1)), true));
+        // Narrow tags again: the array stays at 64 bits.
+        evicts(&mut c, line(2), false, (line(u64::from(u32::MAX)), false));
+        assert_eq!(tag_bits(&c), 64);
         assert_eq!(c.invalidate(!63), Some(true));
         assert_eq!(c.resident_lines(), 1);
-        assert!(c.probe(128) && !c.probe(!63));
-        assert_eq!((c.hits(), c.misses()), (0, 5));
+        assert!(c.probe(line(2)) && !c.probe(!63));
+        assert_eq!((c.hits(), c.misses()), (0, 7));
+
+        // A 16-bit array meeting a 64-bit tag widens straight through.
+        let mut c = SetAssocArray::new(CacheConfig::new(2 * 64, 2));
+        c.access(line(1), true);
+        c.access(!63, false);
+        assert_eq!(tag_bits(&c), 64);
+        assert!(c.probe(line(1)) && c.probe(!63));
+        evicts(&mut c, line(2), false, (line(1), true));
+        evicts(&mut c, line(3), false, (!63, false));
     }
 
     #[test]

@@ -214,6 +214,24 @@ proptest! {
     }
 }
 
+/// The number of lines the model tests draw from for a `sets` × `ways`
+/// array: twice its capacity, so sets fill and evict, and two more.
+fn line_pool(sets: u64, ways: u32) -> u64 {
+    2 * sets * u64::from(ways) + 2
+}
+
+/// Line `index` of a pool of `pool` lines: the low lines, then a line
+/// whose tag needs more than 16 bits but fewer than 32 in any array of up
+/// to 64 sets, then the highest line in the address space, whose tag needs
+/// more than 32 bits. So a run crosses each step of the tag width.
+fn pool_line(index: u64, pool: u64) -> u64 {
+    match pool - index {
+        2 => 1 << 32,
+        1 => !63,
+        _ => index * 64,
+    }
+}
+
 /// Drives a `sets` × `ways` [`SetAssocArray`] and a [`ModelCache`] with the
 /// same reads, writes, invalidations and probes decoded from `ops`, and
 /// asserts that every outcome matches. Returns the number of reads and
@@ -223,12 +241,9 @@ fn drive_against_model(sets: u64, ways: u32, ops: &[u64]) -> Vec<u64> {
     let mut cache = SetAssocArray::new(config);
     let mut model = ModelCache::new(sets, ways as usize);
     let mut touches = vec![0; sets as usize];
-    // Twice the capacity in lines, so sets fill and evict, plus the
-    // highest line in the address space, whose tag needs more than 32 bits.
-    let pool = 2 * sets * u64::from(ways) + 1;
+    let pool = line_pool(sets, ways);
     for &op in ops {
-        let index = (op >> 8) % pool;
-        let line = if index == pool - 1 { !63 } else { index * 64 };
+        let line = pool_line((op >> 8) % pool, pool);
         match op % 8 {
             0..=5 => {
                 touches[((line / 64) % sets) as usize] += 1;
@@ -257,11 +272,10 @@ fn drive_llc_against_model(sets: u64, ways: u32, cores: u32, ops: &[u64]) {
     let mut llc = SharedLlc::new(cfg, cores);
     let mut model = ModelLlc::new(cfg, sets, ways);
     let all_cores = SharerMask::MAX >> (SharerMask::BITS - cores);
-    let pool = 2 * sets * u64::from(ways) + 1;
+    let pool = line_pool(sets, ways);
     let mut now = 0;
     for &op in ops {
-        let index = (op >> 8) % pool;
-        let line = if index == pool - 1 { !63 } else { index * 64 };
+        let line = pool_line((op >> 8) % pool, pool);
         let core = ((op >> 40) % u64::from(cores)) as u32;
         now += (op >> 48) % 3_000;
         match op % 8 {
