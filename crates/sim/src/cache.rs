@@ -147,9 +147,10 @@ fn store<T: TagWord>(tags: &mut [T], w: usize, tag: u64) -> Option<Tags> {
         tags[w] = t;
         return None;
     }
-    let mut wider = match fit::<u32>(tag) {
-        Some(_) => Tags::W32(widen(tags)),
-        None => Tags::W64(widen(tags)),
+    let mut wider = if fit::<u32>(tag).is_some() {
+        Tags::W32(widen(tags))
+    } else {
+        Tags::W64(widen(tags))
     };
     wider.set(w, tag);
     Some(wider)
@@ -525,42 +526,33 @@ mod tests {
         // One set of 2 ways: the tag is the line number. Each width's
         // all-ones value marks an invalid way, so it holds the tags below.
         let line = |tag: u64| tag * 64;
+        let (max16, max32) = (u64::from(u16::MAX), u64::from(u32::MAX));
         let mut c = SetAssocArray::new(CacheConfig::new(2 * 64, 2));
         assert_eq!(tag_bits(&c), 16);
         c.access(line(1), true);
-        c.access(line(u64::from(u16::MAX - 1)), true);
+        c.access(line(max16 - 1), true);
         assert_eq!((tag_bits(&c), c.resident_lines()), (16, 2));
         // Too wide for 16 bits: the marker itself, and a tag whose low 16
         // bits are a resident tag.
-        misses_without_widening(&mut c, line(u64::from(u16::MAX)));
+        misses_without_widening(&mut c, line(max16));
         misses_without_widening(&mut c, line((1 << 16) | 1));
 
-        // 16 → 32 bits: the dirty line 0xfffe stays, then leaves dirty.
-        evicts(&mut c, line(u64::from(u16::MAX)), false, (line(1), true));
+        // 16 → 32 bits: the dirty line `max16 - 1` stays, then leaves dirty.
+        evicts(&mut c, line(max16), false, (line(1), true));
         assert_eq!(tag_bits(&c), 32);
-        assert!(c.probe(line(u64::from(u16::MAX - 1))) && c.probe(line(u64::from(u16::MAX))));
-        evicts(
-            &mut c,
-            line(u64::from(u32::MAX - 1)),
-            true,
-            (line(u64::from(u16::MAX - 1)), true),
-        );
+        assert!(c.probe(line(max16 - 1)) && c.probe(line(max16)));
+        evicts(&mut c, line(max32 - 1), true, (line(max16 - 1), true));
         assert_eq!(tag_bits(&c), 32);
-        misses_without_widening(&mut c, line(u64::from(u32::MAX)));
-        misses_without_widening(&mut c, line((1 << 32) | u64::from(u16::MAX)));
+        misses_without_widening(&mut c, line(max32));
+        misses_without_widening(&mut c, line((1 << 32) | max16));
 
-        // 32 → 64 bits: the dirty line 0xfffffffe stays, then leaves dirty.
-        evicts(
-            &mut c,
-            line(u64::from(u32::MAX)),
-            false,
-            (line(u64::from(u16::MAX)), false),
-        );
+        // 32 → 64 bits: the dirty line `max32 - 1` stays, then leaves dirty.
+        evicts(&mut c, line(max32), false, (line(max16), false));
         assert_eq!(tag_bits(&c), 64);
-        assert!(c.probe(line(u64::from(u32::MAX - 1))) && c.probe(line(u64::from(u32::MAX))));
-        evicts(&mut c, !63, true, (line(u64::from(u32::MAX - 1)), true));
+        assert!(c.probe(line(max32 - 1)) && c.probe(line(max32)));
+        evicts(&mut c, !63, true, (line(max32 - 1), true));
         // Narrow tags again: the array stays at 64 bits.
-        evicts(&mut c, line(2), false, (line(u64::from(u32::MAX)), false));
+        evicts(&mut c, line(2), false, (line(max32), false));
         assert_eq!(tag_bits(&c), 64);
         assert_eq!(c.invalidate(!63), Some(true));
         assert_eq!(c.resident_lines(), 1);
