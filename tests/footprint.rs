@@ -98,53 +98,50 @@ fn the_paper_llc_and_l1_hold_their_packed_arrays() {
     assert_eq!(bytes, 1_856);
 }
 
-/// A 9-cluster Data Serving chip, built and warmed as the benchmark's
-/// `whole-chip` workload does.
-fn prewarmed_chip() -> ChipSim<ProfileStream> {
-    let profile = WorkloadProfile::cloudsuite(CloudSuiteApp::DataServing);
-    let config = ChipConfig::homogeneous(&SimConfig::paper_cluster(1000.0), 9);
-    let cores: Vec<u32> = config.clusters.iter().map(|c| c.cores).collect();
-    let mut chip = ChipSim::new_chip(config, |cluster, core| {
-        ProfileStream::new(
-            profile.clone(),
-            (1 << 12) + u64::from(cluster) * 64 + u64::from(core),
-        )
-    });
-    for (cluster, &n) in cores.iter().enumerate() {
-        let cluster = cluster as u32;
-        let all_cores: SharerMask = (1 << n) - 1;
-        for core in 0..n {
-            let hot = ProfileStream::hot_base_for(u64::from(core));
-            chip.prewarm_data(cluster, core, (0..HOT_BYTES / 64).map(|i| hot + i * 64));
-            chip.prewarm_code(
-                cluster,
-                core,
-                (0..HOT_CODE_LINES).map(|i| HOT_CODE_BASE + i * 64),
-            );
-        }
-        chip.prewarm_llc(
-            cluster,
-            (0..profile.code_bytes / 64).map(|i| COLD_CODE_BASE + i * 64),
-            all_cores,
-        );
-        chip.prewarm_llc(
-            cluster,
-            (0..profile.warm_bytes / 64).map(|i| WARM_BASE + i * 64),
-            0,
-        );
-    }
-    chip
-}
-
 #[test]
 fn a_prewarmed_nine_cluster_chip_stays_small() {
+    let profile = WorkloadProfile::cloudsuite(CloudSuiteApp::DataServing);
+    let config = ChipConfig::homogeneous(&SimConfig::paper_cluster(1000.0), 9);
+    // Built and warmed as the benchmark's `whole-chip` workload does.
+    let (mut chip, built) = live_bytes(|| {
+        let cores: Vec<u32> = config.clusters.iter().map(|c| c.cores).collect();
+        let mut chip = ChipSim::new_chip(config, |cluster, core| {
+            ProfileStream::new(
+                profile.clone(),
+                (1 << 12) + u64::from(cluster) * 64 + u64::from(core),
+            )
+        });
+        for (cluster, &n) in cores.iter().enumerate() {
+            let cluster = cluster as u32;
+            let all_cores: SharerMask = (1 << n) - 1;
+            for core in 0..n {
+                let hot = ProfileStream::hot_base_for(u64::from(core));
+                chip.prewarm_data(cluster, core, (0..HOT_BYTES / 64).map(|i| hot + i * 64));
+                chip.prewarm_code(
+                    cluster,
+                    core,
+                    (0..HOT_CODE_LINES).map(|i| HOT_CODE_BASE + i * 64),
+                );
+            }
+            chip.prewarm_llc(
+                cluster,
+                (0..profile.code_bytes / 64).map(|i| COLD_CODE_BASE + i * 64),
+                all_cores,
+            );
+            chip.prewarm_llc(
+                cluster,
+                (0..profile.warm_bytes / 64).map(|i| WARM_BASE + i * 64),
+                0,
+            );
+        }
+        chip
+    });
     // Nine LLCs and 72 L1s hold 2,382,336 bytes of array state; the
-    // cores, streams and DRAM bring the built and prewarmed chip to
-    // 2,654 KiB. The bound is 15 % above that (the chip held 3,805 KiB
-    // with 32-bit LLC tags and 8,884 KiB with 64-bit tags, a byte per
-    // dirty flag and a 32-bit sharer mask per LLC line).
+    // cores, streams and DRAM bring the chip to 2,654 KiB. The bound is
+    // 15 % above that (the chip held 3,805 KiB with 32-bit LLC tags, and
+    // 8,884 KiB with 64-bit tags, a byte per dirty flag and a 32-bit
+    // sharer mask per LLC line).
     let bound = 3_052 * 1024;
-    let (mut chip, built) = live_bytes(prewarmed_chip);
     assert!(built > 2_382_336, "{built} bytes");
     assert!(built < bound, "{} KiB live", built / 1024);
     // One window of the benchmark's (2,736 KiB after it): every address
