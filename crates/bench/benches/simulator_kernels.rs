@@ -55,47 +55,5 @@ fn bench_dram(c: &mut Criterion) {
     g.finish();
 }
 
-/// Deep-queue regime: bursts outpace service so channel queues sit at the
-/// depths a 36-core chip produces, with ~25% writes concentrated on few
-/// rows — the worst case for the scheduler's row-hazard bookkeeping and
-/// the regime where indexed selection beats the O(n) scan hardest.
-fn bench_dram_deep_queue(c: &mut Criterion) {
-    use ntc_sim::config::DramTimingConfig;
-    use ntc_sim::dram::DramSystem;
-
-    let mut g = c.benchmark_group("dram_scheduler_deep_queue");
-    g.sample_size(10);
-    const REQUESTS: u64 = 10_000;
-    g.throughput(Throughput::Elements(REQUESTS));
-    g.bench_function("mixed_rw_deep_queue_10k", |b| {
-        b.iter(|| {
-            let mut sys = DramSystem::new(DramTimingConfig::ddr4_1600_paper());
-            let mut x = 0x9E3779B97F4A7C15u64;
-            let mut now = 0u64;
-            for i in 0..REQUESTS {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                // A handful of hot rows -> frequent same-bank write hazards.
-                let line = ((x >> 8) % 8) * (1 << 20) + (x % 16) * 64;
-                if x.is_multiple_of(4) {
-                    sys.write(line, now);
-                } else {
-                    sys.read(line, now);
-                }
-                if i % 128 == 127 {
-                    // Enqueue 128 per ~2.5 ns of DRAM time: far above the
-                    // service rate, so queues run hundreds deep.
-                    now += 2_500;
-                    sys.tick(now);
-                }
-            }
-            sys.tick(u64::MAX / 2);
-            black_box(sys.stats())
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_cluster, bench_dram, bench_dram_deep_queue);
+criterion_group!(benches, bench_cluster, bench_dram);
 criterion_main!(benches);

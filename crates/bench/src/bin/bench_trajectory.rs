@@ -2,8 +2,8 @@
 //! `BENCH_sim.json`.
 //!
 //! Times the same kernel groups as the `simulator_kernels` Criterion
-//! bench — cluster cycles per workload class and the DRAM scheduler in
-//! both the random and deep-queue regimes — with an `Instant` harness
+//! bench — cluster cycles per workload class and the DRAM scheduler
+//! under a random read stream — with an `Instant` harness
 //! that runs every kernel [`REPS`] times, round-robin across the kernels
 //! so that host drift hits them all alike, then appends
 //! `{commit, date, reps, groups}` to the `trajectory` array (creating it
@@ -42,33 +42,19 @@ fn cluster_kernel(app: CloudSuiteApp) -> impl FnMut() {
     }
 }
 
-fn dram_kernel(deep_queue: bool) -> impl FnMut() {
+fn dram_kernel() -> impl FnMut() {
     use ntc_sim::config::DramTimingConfig;
     use ntc_sim::dram::DramSystem;
     move || {
         let mut sys = DramSystem::new(DramTimingConfig::ddr4_1600_paper());
         let mut x = 0x9E3779B97F4A7C15u64;
-        let mut now = 0u64;
         for i in 0..10_000u64 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            if deep_queue {
-                let line = ((x >> 8) % 8) * (1 << 20) + (x % 16) * 64;
-                if x.is_multiple_of(4) {
-                    sys.write(line, now);
-                } else {
-                    sys.read(line, now);
-                }
-                if i % 128 == 127 {
-                    now += 2_500;
-                    sys.tick(now);
-                }
-            } else {
-                sys.read((x % (1 << 30)) & !63, i * 500);
-                if i % 64 == 63 {
-                    sys.tick(i * 500);
-                }
+            sys.read((x % (1 << 30)) & !63, i * 500);
+            if i % 64 == 63 {
+                sys.tick(i * 500);
             }
         }
         sys.tick(u64::MAX / 2);
@@ -94,12 +80,7 @@ fn kernels() -> Vec<Kernel> {
         (
             "dram_scheduler",
             "fr_fcfs_random_10k_reads_ms",
-            Box::new(dram_kernel(false)),
-        ),
-        (
-            "dram_scheduler_deep_queue",
-            "mixed_rw_deep_queue_10k_ms",
-            Box::new(dram_kernel(true)),
+            Box::new(dram_kernel()),
         ),
     ]
 }

@@ -23,11 +23,12 @@ OPTIONS:
     --seed N         Master seed (decimal or 0x-hex). Default 0x5EED0001.
     --case M         Check only case index M (the repro path).
     --pair NAME      Restrict to one oracle pair; repeatable. Names:
-                     dram-sched, telemetry, sweep, percentile, energy-probe.
+                     telemetry, sweep, percentile, energy-probe.
     --budget DUR     Wall-clock budget: 500ms, 30s, 10m. Default 30s.
     --cases K        Stop after K cases (overrides the default budget).
-    --mutate         Inject the deliberate scheduler fault (self-test:
-                     the dram-sched pair must catch it).
+    --mutate         Plant a fault in the harness (self-test): the
+                     telemetry pair's probed side runs with a DRAM CAS
+                     latency one clock longer and the pair must catch it.
     --no-shrink      Report divergences without shrinking them.
     --artifact PATH  Where to write the failing-case JSON.
                      Default diffcheck-failure.json.

@@ -4,12 +4,11 @@
 
 //! Differential fuzz harness for the simulator's fast paths.
 //!
-//! Every performance-critical path in this workspace is shadowed by a
-//! simple reference implementation: the indexed FR-FCFS scheduler by a
-//! scan-everything oracle, the probed simulator by a plain run, the
-//! parallel sweep by its serial twin, the power-of-two histogram by exact
-//! sorted percentiles, and the energy probe's windowed attribution by the
-//! cumulative run counters. These five oracle pairs are what
+//! Every fast or observing path in this workspace is shadowed by a
+//! simple reference implementation: the probed simulator by a plain run,
+//! the parallel sweep by its serial twin, the power-of-two histogram by
+//! exact sorted percentiles, and the energy probe's windowed attribution
+//! by the cumulative run counters. These four oracle pairs are what
 //! [`oracle::check`] runs.
 //! This crate turns that redundancy into a randomized checker:
 //!
@@ -26,9 +25,11 @@
 //!
 //! The `ntc-diffcheck` binary wraps [`runner::run`] with a time/case
 //! budget for CI: a short PR-gated smoke run and a long nightly soak.
-//! The harness validates itself with a mutation check: `--mutate`
-//! injects a deliberate scheduler bug that the dram-sched pair must
-//! catch and shrink (see `DESIGN.md`, Verification).
+//! The harness validates itself with a mutation check: `--mutate` runs
+//! the probed side of the telemetry pair with a DRAM CAS latency one
+//! clock longer than the case's, a fault the pair must catch and shrink
+//! (see `DESIGN.md`, Verification). The fault lives in this crate: no
+//! simulator API carries it.
 
 #![warn(missing_docs)]
 

@@ -1,4 +1,4 @@
-//! The five fast/reference oracle pairs.
+//! The four fast/reference oracle pairs.
 //!
 //! Each pair runs the same [`CaseShape`] through an optimised path and a
 //! simple reference path and demands identical results — bit-identical
@@ -23,8 +23,6 @@ use serde::{Deserialize, Serialize};
 /// One fast/reference implementation pair under differential test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OraclePair {
-    /// Indexed FR-FCFS DRAM scheduler vs the scan-everything reference.
-    DramSched,
     /// Probed/traced simulation vs a plain run (telemetry must be inert).
     Telemetry,
     /// Parallel frequency sweep vs the serial baseline.
@@ -39,8 +37,7 @@ pub enum OraclePair {
 
 impl OraclePair {
     /// Every pair, in round-robin order.
-    pub const ALL: [OraclePair; 5] = [
-        OraclePair::DramSched,
+    pub const ALL: [OraclePair; 4] = [
         OraclePair::Telemetry,
         OraclePair::Sweep,
         OraclePair::Percentile,
@@ -50,7 +47,6 @@ impl OraclePair {
     /// The CLI name (`--pair` value).
     pub fn name(self) -> &'static str {
         match self {
-            OraclePair::DramSched => "dram-sched",
             OraclePair::Telemetry => "telemetry",
             OraclePair::Sweep => "sweep",
             OraclePair::Percentile => "percentile",
@@ -71,14 +67,6 @@ pub struct Divergence {
     pub pair: OraclePair,
     /// Human-readable description of the first difference.
     pub detail: String,
-}
-
-/// Which switches a single simulator run flips.
-#[derive(Clone, Copy, Default)]
-struct Knobs {
-    reference_sched: bool,
-    mutate: bool,
-    probed: bool,
 }
 
 fn drive<S>(sim: &mut S, shape: &CaseShape) -> (SimStats, SimStats)
@@ -125,33 +113,17 @@ impl<S: InstructionStream> SimDriver for ChipSim<S> {
     }
 }
 
-/// Runs the shape once under the given knob settings.
-fn run_shape(shape: &CaseShape, k: Knobs) -> (SimStats, SimStats) {
-    let probe = k
-        .probed
-        .then(|| Box::new(TimeSeriesProbe::new()) as Box<dyn Probe>);
-    run_shape_probed(shape, k, probe)
-}
-
-/// Runs the shape with an explicit probe (or none) attached before the
+/// Runs the shape once with `probe` (or none) attached before the
 /// warm-up, so windowed probes observe the entire run.
-fn run_shape_probed(
-    shape: &CaseShape,
-    k: Knobs,
-    probe: Option<Box<dyn Probe>>,
-) -> (SimStats, SimStats) {
+fn run_shape(shape: &CaseShape, probe: Option<Box<dyn Probe>>) -> (SimStats, SimStats) {
     if shape.use_chip {
         let mut sim = ChipSim::new_chip(shape.chip_config(), |cl, c| shape.stream(cl, c));
-        sim.set_reference_dram_scheduler(k.reference_sched);
-        sim.set_dram_scheduler_mutation(k.mutate);
         if let Some(probe) = probe {
             sim.attach_probe(probe);
         }
         drive(&mut sim, shape)
     } else {
         let mut sim = ClusterSim::new(shape.config, |c| shape.stream(0, c));
-        sim.set_reference_dram_scheduler(k.reference_sched);
-        sim.set_dram_scheduler_mutation(k.mutate);
         if let Some(probe) = probe {
             sim.attach_probe(probe);
         }
@@ -213,17 +185,24 @@ fn describe(a: &(SimStats, SimStats), b: &(SimStats, SimStats)) -> String {
     "stats diverge".to_string()
 }
 
-fn check_sim_pair(
-    pair: OraclePair,
-    shape: &CaseShape,
-    fast: Knobs,
-    reference: Knobs,
-) -> Option<Divergence> {
-    let a = run_shape(shape, fast);
-    let b = run_shape(shape, reference);
-    (a != b).then(|| Divergence {
-        pair,
-        detail: describe(&a, &b),
+/// The telemetry oracle: a run with a [`TimeSeriesProbe`] attached must
+/// be bit-identical to a plain run. `mutate` plants the harness
+/// self-test's fault on the probed side only: its DRAM CAS latency is one
+/// clock longer than the case's, which moves the statistics of any case
+/// whose misses reach DRAM.
+fn check_telemetry(shape: &CaseShape, mutate: bool) -> Option<Divergence> {
+    let probe = Some(Box::new(TimeSeriesProbe::new()) as Box<dyn Probe>);
+    let probed = if mutate {
+        let mut faulty = shape.clone();
+        faulty.config.dram.cl += 1;
+        run_shape(&faulty, probe)
+    } else {
+        run_shape(shape, probe)
+    };
+    let plain = run_shape(shape, None);
+    (probed != plain).then(|| Divergence {
+        pair: OraclePair::Telemetry,
+        detail: describe(&probed, &plain),
     })
 }
 
@@ -336,19 +315,15 @@ fn closure_counters(
 /// partition the run — contiguous on the cycle axis from zero to the
 /// final cycle, with every activity counter summing back to the
 /// cumulative total exactly (integers, no tolerance).
-fn check_energy_probe(shape: &CaseShape, mutate: bool) -> Option<Divergence> {
+fn check_energy_probe(shape: &CaseShape) -> Option<Divergence> {
     let pair = OraclePair::EnergyProbe;
-    let knobs = Knobs {
-        mutate,
-        ..Knobs::default()
-    };
     // A case-derived width that leaves boundaries mid-run, so the check
     // exercises multi-window folding rather than one giant window.
     let window_cycles = (shape.measure_cycles / 7).max(1);
     let probe = EnergyProbe::with_window(window_cycles);
     let handle = probe.handle();
-    let probed = run_shape_probed(shape, knobs, Some(Box::new(probe)));
-    let plain = run_shape(shape, knobs);
+    let probed = run_shape(shape, Some(Box::new(probe)));
+    let plain = run_shape(shape, None);
     if probed != plain {
         return Some(Divergence {
             pair,
@@ -396,42 +371,17 @@ fn check_energy_probe(shape: &CaseShape, mutate: bool) -> Option<Divergence> {
     None
 }
 
-/// Checks one oracle pair on one case. `mutate` injects the deliberate
-/// scheduler fault (see `DramSystem::set_scheduler_mutation`) into every
-/// *indexed*-scheduler run: only the [`OraclePair::DramSched`] pair
-/// compares indexed against reference, so only it should trip — the
-/// other simulator pairs apply the fault to both sides and must stay
-/// identical, keeping mutation detection cleanly attributable.
+/// Checks one oracle pair on one case. `mutate` plants the harness
+/// self-test's fault, a DRAM CAS latency one clock longer, on the probed
+/// side of the [`OraclePair::Telemetry`] pair only, so only that pair
+/// should trip; the other pairs ignore it, keeping mutation detection
+/// cleanly attributable.
 pub fn check(pair: OraclePair, shape: &CaseShape, mutate: bool) -> Option<Divergence> {
     match pair {
-        OraclePair::DramSched => check_sim_pair(
-            pair,
-            shape,
-            Knobs {
-                mutate,
-                ..Knobs::default()
-            },
-            Knobs {
-                reference_sched: true,
-                ..Knobs::default()
-            },
-        ),
-        OraclePair::Telemetry => check_sim_pair(
-            pair,
-            shape,
-            Knobs {
-                probed: true,
-                mutate,
-                ..Knobs::default()
-            },
-            Knobs {
-                mutate,
-                ..Knobs::default()
-            },
-        ),
+        OraclePair::Telemetry => check_telemetry(shape, mutate),
         OraclePair::Sweep => check_sweep(shape),
         OraclePair::Percentile => check_percentile(shape),
-        OraclePair::EnergyProbe => check_energy_probe(shape, mutate),
+        OraclePair::EnergyProbe => check_energy_probe(shape),
     }
 }
 
@@ -462,7 +412,7 @@ mod tests {
     #[test]
     fn describe_names_the_differing_counter() {
         let shape = CaseShape::generate(0xACCE55, 1);
-        let a = run_shape(&shape, Knobs::default());
+        let a = run_shape(&shape, None);
         let mut b = a.clone();
         b.0.xbar_transfers += 1;
         let msg = describe(&a, &b);

@@ -31,9 +31,10 @@ pub struct DiffcheckOptions {
     pub max_cases: Option<u64>,
     /// Stop once this much wall-clock has elapsed (`None` = unbounded).
     pub budget: Option<Duration>,
-    /// Pairs to exercise; empty means all five.
+    /// Pairs to exercise; empty means all four.
     pub pairs: Vec<OraclePair>,
-    /// Inject the deliberate scheduler fault (harness self-test).
+    /// Plant the harness self-test's fault: the telemetry pair's probed
+    /// side runs with a DRAM CAS latency one clock longer.
     pub mutate: bool,
     /// Shrink divergences before reporting.
     pub shrink: bool,
@@ -257,14 +258,14 @@ mod tests {
         let r = DivergenceReport {
             seed: 7,
             case_index: 12,
-            pair: OraclePair::DramSched,
+            pair: OraclePair::Telemetry,
             detail: String::new(),
             shrunk: CaseShape::generate(7, 12),
             shrink_runs: Some(0),
         };
         assert_eq!(
             r.repro_command(),
-            "ntc-diffcheck --seed 7 --case 12 --pair dram-sched"
+            "ntc-diffcheck --seed 7 --case 12 --pair telemetry"
         );
     }
 
@@ -273,7 +274,7 @@ mod tests {
         let opts = DiffcheckOptions {
             seed: 0xBAD_5EF0,
             max_cases: Some(40),
-            pairs: vec![OraclePair::DramSched],
+            pairs: vec![OraclePair::Telemetry],
             mutate: true,
             shrink: false,
             max_divergences: 1,
@@ -283,7 +284,7 @@ mod tests {
         let d = report
             .divergences
             .first()
-            .expect("the planted scheduler fault diverges");
+            .expect("the planted CAS-latency fault diverges");
         assert_eq!(d.shrink_runs, None);
         assert_eq!(d.shrunk, CaseShape::generate(opts.seed, d.case_index));
     }

@@ -1,7 +1,9 @@
 //! End-to-end harness checks: a clean tree must be divergence-free, and
-//! a deliberately injected scheduler bug must be caught *and* shrunk to
-//! a tiny repro (the mutation check — if the harness ever stops seeing
-//! the planted bug, the harness itself has regressed).
+//! a deliberately planted fault must be caught *and* shrunk to a tiny
+//! repro (the mutation check — if the harness ever stops seeing the
+//! planted fault, the harness itself has regressed). `--mutate` plants
+//! it inside the harness: the telemetry pair's probed side runs with a
+//! DRAM CAS latency one clock longer than the case's.
 
 use ntc_diffcheck::{run, DiffcheckOptions, OraclePair};
 
@@ -31,15 +33,16 @@ fn clean_tree_is_divergence_free_across_all_pairs() {
 }
 
 #[test]
-fn injected_scheduler_bug_is_caught_and_shrunk_small() {
+fn injected_cas_latency_fault_is_caught_and_shrunk_small() {
     // Seed picked so the first diverging case has a single-cluster
-    // minimal repro: the planted row-hit fault needs concurrent requests
-    // to surface, and some cases only exhibit it with several clusters'
-    // worth of traffic — those shrink to small multi-cluster repros.
+    // minimal repro: the one-clock CAS fault moves the statistics only
+    // when a later DRAM completion crosses a core-clock edge, and some
+    // cases show it only with several clusters' worth of traffic; those
+    // shrink to small multi-cluster repros.
     let opts = DiffcheckOptions {
-        seed: 0xBAD_5EF0,
+        seed: 0xBAD_5EF1,
         max_cases: Some(40),
-        pairs: vec![OraclePair::DramSched],
+        pairs: vec![OraclePair::Telemetry],
         mutate: true,
         shrink: true,
         max_divergences: 1,
@@ -48,14 +51,14 @@ fn injected_scheduler_bug_is_caught_and_shrunk_small() {
     let report = run(&opts);
     assert!(
         !report.clean(),
-        "the planted FR-FCFS mutation went undetected across {} cases",
+        "the planted CAS-latency fault went undetected across {} cases",
         report.cases
     );
     let d = &report.divergences[0];
-    assert_eq!(d.pair, OraclePair::DramSched);
+    assert_eq!(d.pair, OraclePair::Telemetry);
     assert!(!d.detail.is_empty());
-    assert!(d.repro_command().contains("--pair dram-sched"));
-    // Acceptance bar: the shrinker reduces the planted bug to a repro of
+    assert!(d.repro_command().contains("--pair telemetry"));
+    // Acceptance bar: the shrinker reduces the planted fault to a repro of
     // at most 2 cores over at most 2 DRAM banks.
     let shrunk = &d.shrunk;
     let banks = shrunk.config.dram.channels * shrunk.config.dram.banks_per_channel();
@@ -73,12 +76,13 @@ fn injected_scheduler_bug_is_caught_and_shrunk_small() {
 
 #[test]
 fn mutation_leaves_the_other_sim_pairs_identical() {
-    // The fault is applied to *both* sides of the telemetry and
-    // energy-probe pairs, so divergence stays attributable to dram-sched.
+    // The fault is planted in the telemetry pair only, so the
+    // energy-probe pair, which also compares a probed run with a plain
+    // one, stays clean and divergence stays attributable.
     let opts = DiffcheckOptions {
         seed: 0xBAD_5EED,
         max_cases: Some(10),
-        pairs: vec![OraclePair::Telemetry, OraclePair::EnergyProbe],
+        pairs: vec![OraclePair::EnergyProbe],
         mutate: true,
         shrink: false,
         ..DiffcheckOptions::default()

@@ -163,27 +163,6 @@ impl<S: InstructionStream> ChipSim<S> {
         }
     }
 
-    /// Routes the shared DRAM system's scheduling through the
-    /// scan-everything reference FR-FCFS oracle instead of the indexed
-    /// scheduler. Statistics are bit-identical either way; the
-    /// differential tests rely on that.
-    pub fn set_reference_dram_scheduler(&mut self, reference: bool) {
-        self.dram.lock().unwrap().set_reference_scheduler(reference);
-    }
-
-    /// Injects the harness-validation scheduler fault into the indexed
-    /// DRAM path (see `DramSystem::set_scheduler_mutation`). Only the
-    /// differential-verification harness should ever enable this.
-    #[doc(hidden)]
-    pub fn set_dram_scheduler_mutation(&mut self, enabled: bool) {
-        self.dram.lock().unwrap().set_scheduler_mutation(enabled);
-    }
-
-    /// Deepest any shared-DRAM channel queue has been since construction.
-    pub fn dram_queue_high_water(&self) -> usize {
-        self.dram.lock().unwrap().queue_depth_high_water()
-    }
-
     /// Advances every cluster by `cycles` of *its own* core cycles. On a
     /// homogeneous chip all clusters cover the same wall-clock window; on
     /// a heterogeneous one slower clusters run longer in wall-clock terms

@@ -143,23 +143,8 @@ impl<S: InstructionStream> ClusterSim<S> {
         }
     }
 
-    /// Routes DRAM scheduling through the scan-everything reference
-    /// FR-FCFS oracle instead of the indexed scheduler. Statistics are
-    /// bit-identical either way; the differential tests rely on that.
-    pub fn set_reference_dram_scheduler(&mut self, reference: bool) {
-        self.mem.set_reference_dram_scheduler(reference);
-    }
-
-    /// Injects the harness-validation scheduler fault into the indexed
-    /// DRAM path (see `DramSystem::set_scheduler_mutation`). Only the
-    /// differential-verification harness should ever enable this.
-    #[doc(hidden)]
-    pub fn set_dram_scheduler_mutation(&mut self, enabled: bool) {
-        self.mem.set_dram_scheduler_mutation(enabled);
-    }
-
-    /// Deepest any DRAM channel queue has been since construction — a
-    /// diagnostic for sizing the scheduler's index structures.
+    /// Deepest the DRAM request queue, summed over its channels, has
+    /// been since construction.
     pub fn dram_queue_high_water(&self) -> usize {
         self.mem.dram_queue_high_water()
     }

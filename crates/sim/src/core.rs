@@ -85,7 +85,7 @@ struct SlotSched {
 /// to that cycle on a timing wheel of [`WHEEL`] one-cycle buckets that
 /// spans `drained..drained + WHEEL`, where `drained` is the cycle of the
 /// last drain; entries due later wait in the `far` set. A drain moves the
-/// buckets of the elapsed cycles to `ready`, so no deferred entry is ever
+/// buckets of the cycles it reaches to `ready`, so no deferred entry is ever
 /// looked at before its cycle unless it sits in `far`, which is scanned
 /// only once its earliest entry is due.
 #[derive(Debug)]
@@ -197,18 +197,18 @@ impl IssueSched {
     }
 
     /// Moves every deferred entry eligible by `cycle` to `ready`: the
-    /// buckets of cycles `drained..=cycle` (all of them after a jump of a
-    /// wheel's span or more), then `far` if its earliest entry is due.
-    /// Issue order comes from the sequence-order scan of `ready`, so the
-    /// order entries become ready in never matters.
+    /// buckets of cycles `drained` and `cycle`, then `far` if its earliest
+    /// entry is due. [`Core::issue`] drains every cycle the core ticks, so
+    /// `cycle` is `drained` (the first tick) or the cycle after it. Issue
+    /// order comes from the sequence-order scan of `ready`, so the order
+    /// entries become ready in never matters.
     fn drain_due(&mut self, cycle: u64) {
-        debug_assert!(cycle >= self.drained, "drains run in cycle order");
-        let elapsed = cycle - self.drained;
-        let due = if elapsed >= WHEEL - 1 {
-            u64::MAX
-        } else {
-            ((1u64 << (elapsed + 1)) - 1).rotate_left((self.drained % WHEEL) as u32)
-        };
+        debug_assert!(
+            (self.drained..=self.drained + 1).contains(&cycle),
+            "drains run every cycle, in order ({cycle} after {})",
+            self.drained
+        );
+        let due = 1 << (self.drained % WHEEL) | 1 << (cycle % WHEEL);
         let mut buckets = self.wheel_busy & due;
         self.wheel_busy &= !due;
         while buckets != 0 {
@@ -810,6 +810,13 @@ mod tests {
             .is_some()
     }
 
+    /// Drains cycle by cycle up to `cycle`, as the core does.
+    fn drain_to(sched: &mut IssueSched, cycle: u64) {
+        for c in sched.drained + 1..=cycle {
+            sched.drain_due(c);
+        }
+    }
+
     /// Drains cycle by cycle up to `until`, asserting `seq` turns ready at
     /// exactly `due` and not before.
     fn assert_ready_at(sched: &mut IssueSched, seq: u64, due: u64, until: u64) {
@@ -830,7 +837,7 @@ mod tests {
         sched.wait_on(3, 6);
         sched.defer(5, 12);
         sched.wake(3, 10);
-        sched.drain_due(9);
+        drain_to(&mut sched, 9);
         assert_eq!(sched.next_ready(3, 0, 4), None);
         sched.drain_due(10);
         assert_eq!(sched.next_ready(3, 0, 4), Some(1));
@@ -845,7 +852,7 @@ mod tests {
     #[test]
     fn an_entry_deferred_to_a_drained_cycle_is_ready_by_the_next_issue() {
         let mut sched = IssueSched::new(128);
-        sched.drain_due(100);
+        drain_to(&mut sched, 100);
         // Before the drained cycle: ready at once.
         sched.defer(1, 99);
         assert!(is_ready(&sched, 1));
@@ -860,7 +867,7 @@ mod tests {
     #[test]
     fn wheel_edge_and_far_entries_become_ready_at_their_own_cycle() {
         let mut sched = IssueSched::new(128);
-        sched.drain_due(1_000);
+        drain_to(&mut sched, 1_000);
         sched.defer(1, 1_063); // the wheel's last bucket
         sched.defer(2, 1_064); // exactly one span ahead: far
         sched.defer(3, 1_300); // far, and still far after 2's scan
@@ -875,42 +882,12 @@ mod tests {
     #[test]
     fn far_entries_move_onto_the_wheel_when_a_scan_reaches_them() {
         let mut sched = IssueSched::new(128);
-        sched.drain_due(10);
+        drain_to(&mut sched, 10);
         sched.defer(1, 80);
         sched.defer(2, 100);
         assert_ready_at(&mut sched, 1, 80, 80);
         assert_eq!(sched.far_min, u64::MAX, "2 is within the span of 80");
         assert_ready_at(&mut sched, 2, 100, 120);
-    }
-
-    #[test]
-    fn a_drain_after_a_long_jump_empties_every_due_bucket() {
-        let mut sched = IssueSched::new(128);
-        sched.drain_due(5);
-        for (seq, cycle) in [(1, 6), (2, 37), (3, 68), (4, 200), (5, 201)] {
-            sched.defer(seq, cycle);
-        }
-        // One drain spanning more than the wheel: everything due is ready
-        // and nothing early is.
-        sched.drain_due(200);
-        for seq in 1..=4 {
-            assert!(is_ready(&sched, seq), "seq {seq}");
-        }
-        assert!(!is_ready(&sched, 5));
-        assert_ready_at(&mut sched, 5, 201, 201);
-        // A jump shorter than the wheel drains only the elapsed buckets.
-        sched.defer(6, 210);
-        sched.defer(7, 230);
-        sched.drain_due(220);
-        assert!(is_ready(&sched, 6) && !is_ready(&sched, 7));
-        assert_ready_at(&mut sched, 7, 230, 240);
-        // A jump of exactly the wheel's span drains every bucket once.
-        sched.defer(8, 241);
-        sched.defer(9, 303);
-        sched.defer(10, 304);
-        sched.drain_due(303);
-        assert!(is_ready(&sched, 8) && is_ready(&sched, 9) && !is_ready(&sched, 10));
-        assert_ready_at(&mut sched, 10, 304, 304);
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //! * [`llc`]: shared 4 MB 16-way LLC in 4 banks with MESI-style sharer
 //!   tracking and invalidations;
 //! * [`xbar`]: cluster crossbar with port contention;
-//! * [`dram`]: DDR4 timing model (banks, row buffers, FR-FCFS scheduling,
-//!   tRCD/tRP/tCL/tRAS/tFAW/... windows) in the spirit of DRAMSim2;
+//! * [`dram`]: DDR4 timing model (banks, row buffers, FR-FCFS scheduling
+//!   by one scan of each channel's queue, tRCD/tRP/tCL/tRAS/tFAW/...
+//!   windows) in the spirit of DRAMSim2;
 //! * [`memsys`]: the uncore glue — request lifecycle from L1 miss to fill;
 //! * [`cluster`]: the top-level simulator and its statistics.
 //!

@@ -65,7 +65,6 @@ pub struct MemorySystem {
     /// Outstanding line fills: later requests to the same line merge.
     by_line: FxHashMap<u64, Vec<MemTicket>>,
     dram_to_line: FxHashMap<DramTicket, u64>,
-    prefetches: u64,
     /// Reused per-tick DRAM completion buffer (allocation-free drain).
     completion_buf: Vec<(DramTicket, u64)>,
     /// Recycled waiter lists for `by_line` (a fill completes → its list
@@ -99,7 +98,6 @@ impl MemorySystem {
             free_tickets: Vec::new(),
             by_line: FxHashMap::default(),
             dram_to_line: FxHashMap::default(),
-            prefetches: 0,
             completion_buf: Vec::new(),
             waiter_pool: Vec::new(),
         }
@@ -193,7 +191,6 @@ impl MemorySystem {
         // Open a merge point with no waiters of its own.
         let waiters = self.new_waiters();
         self.by_line.insert(line_addr, waiters);
-        self.prefetches += 1;
     }
 
     /// Posts a dirty-line write-back from an L1 (non-blocking).
@@ -281,20 +278,6 @@ impl MemorySystem {
         self.dram.lock().unwrap().stats()
     }
 
-    /// Switches the DRAM scheduler between the indexed implementation and
-    /// the scan-everything reference oracle (differential testing; see
-    /// [`DramSystem::set_reference_scheduler`]).
-    pub fn set_reference_dram_scheduler(&mut self, reference: bool) {
-        self.dram.lock().unwrap().set_reference_scheduler(reference);
-    }
-
-    /// Injects the harness-validation scheduler fault (see
-    /// [`DramSystem::set_scheduler_mutation`]).
-    #[doc(hidden)]
-    pub fn set_dram_scheduler_mutation(&mut self, enabled: bool) {
-        self.dram.lock().unwrap().set_scheduler_mutation(enabled);
-    }
-
     /// Deepest the DRAM request queue has been (scheduler diagnostic).
     pub fn dram_queue_high_water(&self) -> usize {
         self.dram.lock().unwrap().queue_depth_high_water()
@@ -323,11 +306,6 @@ impl MemorySystem {
     /// Outstanding request count (diagnostics).
     pub fn outstanding(&self) -> usize {
         self.requests.len() - self.free_tickets.len()
-    }
-
-    /// Prefetches issued so far.
-    pub fn prefetches(&self) -> u64 {
-        self.prefetches
     }
 }
 

@@ -25,9 +25,9 @@
 //!   tracing with Chrome-trace export, sim probes (compile in with the
 //!   `telemetry` feature, switch on with `NTC_TRACE`/`NTC_METRICS`).
 //! * [`diffcheck`] — the differential fuzz harness: random valid configs
-//!   checked through every fast/reference oracle pair (FR-FCFS index,
-//!   telemetry, parallel sweep, histogram percentiles, energy probe),
-//!   with automatic shrinking and one-line repro commands.
+//!   checked through its four fast/reference oracle pairs (telemetry,
+//!   parallel sweep, histogram percentiles, energy probe), with automatic
+//!   shrinking and one-line repro commands.
 //!
 //! # Quickstart
 //!
