@@ -1,11 +1,10 @@
 //! `bench-trajectory`: appends one machine-readable perf entry to
 //! `BENCH_sim.json`.
 //!
-//! Times the same kernel groups as the `simulator_kernels` Criterion
-//! bench — cluster cycles per workload class and the DRAM scheduler
-//! under a random read stream — with an `Instant` harness
-//! that runs every kernel [`REPS`] times, round-robin across the kernels
-//! so that host drift hits them all alike, then appends
+//! Times the simulator's kernel groups — cluster cycles per workload
+//! class and the DRAM scheduler under a random read stream — with an
+//! `Instant` harness that runs every kernel [`REPS`] times, round-robin
+//! across the kernels so that host drift hits them all alike, then appends
 //! `{commit, date, reps, groups}` to the `trajectory` array (creating it
 //! when absent). Each kernel's cell is `{"median": ms, "quartiles": [q1,
 //! q3]}`. The existing top-level baseline fields are left untouched, so

@@ -5,7 +5,7 @@
 //! figure binary run with `--metrics` / `--energy` left under
 //! `results/telemetry/`, and prints:
 //!
-//! * the top line — UIPS, total server energy, QoS p99 sojourn;
+//! * the top line — peak UIPS and total server energy;
 //! * the per-component energy breakdown (windowed vs analytic, with the
 //!   closure error per frequency);
 //! * measurement-cache and LLC hit/miss counters.
@@ -152,16 +152,6 @@ fn print_energy(runs: &[&Value], windows: &[&Value], tolerance: f64) -> bool {
 }
 
 fn print_metrics(metrics: &[Value]) {
-    if let Some(h) = find_metric(metrics, "qos.sojourn_us") {
-        println!(
-            "\nQoS sojourn (us): p50 {:.0}  p90 {:.0}  p99 {:.0}  (n={})",
-            f(h, "p50"),
-            f(h, "p90"),
-            f(h, "p99"),
-            f(h, "count"),
-        );
-    }
-
     let pairs = [
         (
             "measurement cache",
@@ -228,21 +218,16 @@ fn main() -> ExitCode {
     let runs: Vec<&Value> = energy.iter().filter(|r| r["kind"] == "run").collect();
     let windows: Vec<&Value> = energy.iter().filter(|r| r["kind"] == "window").collect();
 
-    // Top line: work, energy, tail latency — the report's headline.
+    // Top line: work and energy — the report's headline.
     let total_j: f64 = runs.iter().map(|r| f(r, "windowed_server_j")).sum();
     let peak_uips = runs.iter().map(|r| f(r, "uips")).fold(0.0, f64::max);
     let metrics = metrics.unwrap_or_default();
-    let p99 = find_metric(&metrics, "qos.sojourn_us").map(|h| f(h, "p99"));
-    print!(
+    println!(
         "  peak UIPS {:.3e} | server energy {:.3} J over {} simulated runs",
         peak_uips,
         total_j,
         runs.len()
     );
-    match p99 {
-        Some(p99) => println!(" | QoS p99 {p99:.0} us"),
-        None => println!(),
-    }
 
     let mut ok = true;
     if !runs.is_empty() {

@@ -2,8 +2,8 @@
 //!
 //! Each `fig*`/`table*` function computes the corresponding artifact as
 //! [`ntc_core::report::Figure`] data; the `src/bin/*` binaries print the
-//! tables (and emit JSON under `results/`), and the Criterion benches in
-//! `benches/` time the same computations.
+//! tables (and emit JSON under `results/`), and the `ntcbench` benchmark
+//! times the same computations end to end.
 //!
 //! | artifact | function | binary |
 //! |---|---|---|

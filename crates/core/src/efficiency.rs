@@ -109,7 +109,7 @@ mod tests {
     }
 
     #[test]
-    fn efficiency_series_is_consistent() {
+    fn efficiency_points_are_consistent() {
         let r = result();
         for (e, p) in r.efficiency().iter().zip(r.points()) {
             assert!(e.cores >= e.soc && e.soc >= e.server);

@@ -18,9 +18,9 @@
 //! * scale-out QoS admits 200–500 MHz operation; VM degradation bounds
 //!   admit 500 MHz (4×) / 1 GHz (2×) (Fig. 2).
 //!
-//! Extension modules implement the discussion section: energy
-//! proportionality ([`proportionality`]), body-bias boost/sleep management
-//! ([`manager`]) and workload consolidation ([`consolidation`]).
+//! Extension modules implement the discussion section: body-bias
+//! boost/sleep management ([`manager`]) and workload consolidation
+//! ([`consolidation`]).
 //!
 //! # Quickstart
 //!
@@ -48,10 +48,8 @@ pub mod manager;
 pub mod measure;
 pub mod observe;
 pub mod optimum;
-pub mod proportionality;
 pub mod report;
 pub mod sweep;
-pub mod thermal;
 
 pub use binning::{magnification, BinningStats, VariationStudy};
 pub use config::{ServerConfig, ServerModel};
@@ -72,6 +70,4 @@ pub use observe::{
     RunEnergy, WindowEnergy,
 };
 pub use optimum::ConstrainedOptimum;
-pub use proportionality::{proportionality_score, UtilizationPoint};
 pub use sweep::{FrequencySweep, SweepError, SweepPoint};
-pub use thermal::{budget_feasible, max_frequency_within, thermal_solve, ThermalPoint};

@@ -3,7 +3,6 @@
 //! Every figure/table regenerator in `ntc-bench` prints through this
 //! module so EXPERIMENTS.md rows can be produced (and re-diffed) uniformly.
 
-use crate::efficiency::{EfficiencyPoint, SweepResult};
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -125,18 +124,6 @@ fn truncate(s: &str, n: usize) -> &str {
         Some((idx, _)) => &s[..idx],
         None => s,
     }
-}
-
-/// Builds the three per-scope efficiency series of one sweep (the panels
-/// of Figure 3/4), labelled by the workload.
-pub fn efficiency_series(label: &str, result: &SweepResult) -> [Series; 3] {
-    let eff: Vec<EfficiencyPoint> = result.efficiency();
-    let mk = |f: fn(&EfficiencyPoint) -> f64| eff.iter().map(|e| (e.mhz, f(e))).collect::<Vec<_>>();
-    [
-        Series::new(label.to_owned(), mk(|e| e.cores)),
-        Series::new(label.to_owned(), mk(|e| e.soc)),
-        Series::new(label.to_owned(), mk(|e| e.server)),
-    ]
 }
 
 #[cfg(test)]

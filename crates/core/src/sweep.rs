@@ -116,12 +116,6 @@ impl FrequencySweep {
         }
     }
 
-    /// Applies a fixed body bias at every point (builder style).
-    pub fn with_bias(mut self, bias: BodyBias) -> Self {
-        self.bias = bias;
-        self
-    }
-
     /// The ladder.
     pub fn frequencies(&self) -> &[f64] {
         &self.frequencies
@@ -434,20 +428,6 @@ mod tests {
             "server optimum should be 1-1.2 GHz class, got {}",
             server_best.mhz
         );
-    }
-
-    #[test]
-    fn fixed_fbb_sweep_uses_lower_voltages() {
-        let server = server();
-        let m = TableMeasurer::synthetic(3.2, 1.6);
-        let plain = FrequencySweep::paper_ladder().run(&server, &m).unwrap();
-        let fbb = FrequencySweep::paper_ladder()
-            .with_bias(BodyBias::forward(Volts(1.0)).unwrap())
-            .run(&server, &m)
-            .unwrap();
-        for (a, b) in plain.points().iter().zip(fbb.points()) {
-            assert!(b.op.vdd < a.op.vdd, "fbb lowers vdd at {} MHz", a.mhz);
-        }
     }
 
     #[test]

@@ -1,7 +1,3 @@
-// `is_multiple_of` stabilized after this workspace's MSRV (1.75); the
-// manual `% == 0` form stays until the MSRV moves.
-#![allow(clippy::manual_is_multiple_of)]
-
 //! Differential fuzz harness for the simulator's fast paths.
 //!
 //! Every fast or observing path in this workspace is shadowed by a

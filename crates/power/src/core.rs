@@ -134,11 +134,6 @@ impl CorePowerModel {
         &self.timing
     }
 
-    /// The leakage model.
-    pub fn leakage_model(&self) -> &LeakageModel {
-        &self.leakage
-    }
-
     /// The effective switched capacitance in farads.
     pub fn ceff(&self) -> f64 {
         self.ceff

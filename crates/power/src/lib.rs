@@ -21,9 +21,7 @@
 
 pub mod bias_opt;
 pub mod breakdown;
-pub mod cacti;
 pub mod core;
-pub mod delivery;
 pub mod dram;
 pub mod energy;
 pub mod io;
@@ -33,8 +31,6 @@ pub mod xbar;
 pub use crate::core::{CoreActivity, CorePowerModel};
 pub use bias_opt::{BiasOptimizer, OptimalPoint};
 pub use breakdown::{PowerBreakdown, Scope};
-pub use cacti::{CactiModel, CactiTech};
-pub use delivery::{CoolingModel, DeliveryChain, DeliveryStage};
 pub use dram::{DramConfig, DramPowerModel, DramTechnology, DramTraffic};
 pub use energy::{EnergyAccount, PowerWindow};
 pub use io::{IoPeripheral, IoPowerModel};

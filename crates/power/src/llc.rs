@@ -94,17 +94,6 @@ impl LlcPowerModel {
         self
     }
 
-    /// Overrides the per-MB slice power (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `power` is negative.
-    pub fn with_slice_power(mut self, power: Watts) -> Self {
-        assert!(power.0 >= 0.0, "slice power must be non-negative");
-        self.slice_power_per_mb = power;
-        self
-    }
-
     /// The modelled capacity in megabytes.
     pub fn capacity_mb(&self) -> f64 {
         self.capacity_mb

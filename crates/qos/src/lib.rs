@@ -4,9 +4,8 @@
 //!
 //! 1. **Baseline tail latency** — the minimum 99th-percentile latency of
 //!    each scale-out application is measured once on real hardware at
-//!    2 GHz in a near-zero-contention setup. We reproduce that scalar with
-//!    an M/M/1 percentile model ([`tail`]) or take it directly from the
-//!    workload profile's calibrated value.
+//!    2 GHz in a near-zero-contention setup. We take that scalar from the
+//!    workload profile's calibrated `baseline_l99_norm`.
 //! 2. **Latency scaling** — since the number of user instructions per
 //!    request is constant across contention points, request latency scales
 //!    as the inverse of simulated UIPS:
@@ -17,17 +16,7 @@
 //!    2× / 4× bounds ([`degradation`]).
 
 pub mod degradation;
-pub mod error;
-pub mod queue_sim;
-pub mod requests;
 pub mod scaling;
-pub mod tail;
 
 pub use degradation::DegradationModel;
-pub use error::QosError;
-pub use queue_sim::{
-    simulate as simulate_queue, QueueSimConfig, QueueSimResult, ServiceDistribution,
-};
-pub use requests::RequestModel;
 pub use scaling::{LatencyScaler, QosCurve, QosPoint};
-pub use tail::Mm1TailModel;

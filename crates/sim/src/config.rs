@@ -585,12 +585,6 @@ impl ChipConfig {
         }
         self.dram.validate().map_err(SimConfigError::Dram)
     }
-
-    /// Whether every cluster has the same configuration (one clock
-    /// domain): the fast homogeneous engine invariants apply.
-    pub fn is_homogeneous(&self) -> bool {
-        self.clusters.windows(2).all(|w| w[0] == w[1])
-    }
 }
 
 /// Top-level single-cluster simulator configuration.
@@ -1013,16 +1007,14 @@ mod tests {
         assert!(chip.clusters.iter().all(|cl| *cl == c.cluster()));
         assert_eq!(chip.seed, 7);
         assert_eq!(chip.dram, c.dram);
-        assert!(chip.is_homogeneous());
         assert_eq!(chip.validate(), Ok(()));
     }
 
     #[test]
-    fn heterogeneous_chip_is_detected_and_validated_per_cluster() {
+    fn heterogeneous_chip_is_validated_per_cluster() {
         let big = SimConfig::paper_cluster(1000.0);
         let mut chip = ChipConfig::homogeneous(&big, 2);
         chip.clusters.push(ClusterConfig::little_cluster(400.0));
-        assert!(!chip.is_homogeneous());
         assert_eq!(chip.validate(), Ok(()));
 
         chip.clusters[2].cores = 0;

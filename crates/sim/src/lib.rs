@@ -1,7 +1,3 @@
-// `is_multiple_of` stabilized after this workspace's MSRV (1.75); the
-// manual `% == 0` form stays until the MSRV moves.
-#![allow(clippy::manual_is_multiple_of)]
-
 //! Cycle-level multicore cluster simulator — the study's Flexus substitute.
 //!
 //! The paper (Sec. IV) measures one quantity from its full-system simulator:
@@ -64,7 +60,6 @@ pub mod memsys;
 pub mod probe;
 pub mod stats;
 pub mod streams;
-pub mod trace;
 pub mod xbar;
 
 pub use bpred::{BranchPredictor, PredictorKind, SyntheticBranchBehaviour};
@@ -79,7 +74,6 @@ pub use probe::{
     ActivityWindow, EnergyProbe, EnergyProbeHandle, Probe, ProbeSample, TimeSeriesProbe,
 };
 pub use stats::{CoreStats, SimStats};
-pub use trace::{Trace, TraceRecorder, TraceStream};
 
 /// Cache-line size used throughout the hierarchy (bytes).
 pub const LINE_BYTES: u64 = 64;

@@ -332,6 +332,16 @@ mod tests {
     }
 
     #[test]
+    fn paper_anchor_bulk_reaches_1800mhz_but_not_2ghz_at_rated_voltage() {
+        let core = a57(TechnologyKind::Bulk28);
+        assert!(core.vdd_min(MegaHertz(1800.0), BodyBias::ZERO).is_ok());
+        assert!(matches!(
+            core.vdd_min(MegaHertz(2000.0), BodyBias::ZERO),
+            Err(TechError::FrequencyUnreachable { .. })
+        ));
+    }
+
+    #[test]
     fn fdsoi_dominates_bulk_at_every_voltage() {
         let bulk = a57(TechnologyKind::Bulk28);
         let fdsoi = a57(TechnologyKind::FdSoi28);

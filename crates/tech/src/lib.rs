@@ -16,7 +16,7 @@
 //! * SRAM functional-voltage limits that gate the core's minimum operating
 //!   voltage ([`sram`]),
 //! * process-variation modelling and body-bias compensation ([`variation`]),
-//! * DVFS operating-point tables ([`opp`]).
+//! * DVFS operating points ([`opp`]).
 //!
 //! # Quickstart
 //!
@@ -51,7 +51,6 @@ pub mod leakage;
 pub mod opp;
 pub mod sram;
 pub mod technology;
-pub mod thermal;
 pub mod units;
 pub mod variation;
 
@@ -61,13 +60,10 @@ pub use ekv::EkvModel;
 pub use error::TechError;
 pub use fmax::{CoreClass, CoreModel};
 pub use leakage::LeakageModel;
-pub use opp::{OperatingPoint, OppTable};
+pub use opp::OperatingPoint;
 pub use sram::SramLimits;
 pub use technology::{Technology, TechnologyKind};
-pub use thermal::{ThermalModel, ThermalOperatingPoint};
-pub use units::{
-    Celsius, Joules, Kelvin, MegaHertz, NanoJoules, Picoseconds, Seconds, Volts, Watts,
-};
+pub use units::{Joules, Kelvin, MegaHertz, NanoJoules, Picoseconds, Seconds, Volts, Watts};
 pub use variation::{VariationModel, VthSample};
 
 /// Boltzmann constant over elementary charge, in volts per kelvin.

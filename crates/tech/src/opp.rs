@@ -1,10 +1,8 @@
-//! DVFS operating points and operating-point tables.
+//! DVFS operating points.
 //!
 //! An [`OperatingPoint`] fixes the triplet the rest of the study sweeps:
 //! core frequency, the minimum supply voltage sustaining it, and the body
-//! bias in effect. [`OppTable`] generates the ladder of points the paper's
-//! evaluation walks (100 MHz … 2 GHz) for a given core model and bias
-//! policy.
+//! bias in effect.
 
 use crate::bias::BodyBias;
 use crate::fmax::CoreModel;
@@ -47,168 +45,14 @@ impl fmt::Display for OperatingPoint {
     }
 }
 
-/// An ordered ladder of operating points (ascending frequency).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct OppTable {
-    points: Vec<OperatingPoint>,
-}
-
-impl OppTable {
-    /// The paper's evaluation ladder: 100 MHz to 2 GHz in 100 MHz steps.
-    pub fn paper_ladder() -> Vec<MegaHertz> {
-        (1..=20).map(|i| MegaHertz(i as f64 * 100.0)).collect()
-    }
-
-    /// Generates a table at the given frequencies with a fixed bias.
-    ///
-    /// Frequencies that are unreachable at the rated voltage are skipped —
-    /// the table covers what the silicon can do. The result is sorted by
-    /// frequency.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error only for an illegal bias; per-frequency
-    /// reachability is handled by skipping.
-    pub fn generate(
-        core: &CoreModel,
-        frequencies: &[MegaHertz],
-        bias: BodyBias,
-    ) -> Result<Self, TechError> {
-        core.technology().check_bias(bias)?;
-        let mut points = Vec::with_capacity(frequencies.len());
-        for &f in frequencies {
-            match OperatingPoint::at(core, f, bias) {
-                Ok(p) => points.push(p),
-                Err(TechError::FrequencyUnreachable { .. })
-                | Err(TechError::FrequencyTooLow { .. }) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        points.sort_by(|a, b| {
-            a.frequency
-                .partial_cmp(&b.frequency)
-                .expect("frequencies are finite")
-        });
-        Ok(OppTable { points })
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The points, ascending in frequency.
-    pub fn points(&self) -> &[OperatingPoint] {
-        &self.points
-    }
-
-    /// Iterates over the points.
-    pub fn iter(&self) -> std::slice::Iter<'_, OperatingPoint> {
-        self.points.iter()
-    }
-
-    /// The slowest point.
-    pub fn lowest(&self) -> Option<&OperatingPoint> {
-        self.points.first()
-    }
-
-    /// The fastest point.
-    pub fn highest(&self) -> Option<&OperatingPoint> {
-        self.points.last()
-    }
-
-    /// The slowest point at or above `f` (the governor's "performance
-    /// floor" lookup).
-    pub fn at_least(&self, f: MegaHertz) -> Option<&OperatingPoint> {
-        self.points.iter().find(|p| p.frequency >= f)
-    }
-
-    /// The fastest point at or below `f` (the governor's "power cap"
-    /// lookup).
-    pub fn at_most(&self, f: MegaHertz) -> Option<&OperatingPoint> {
-        self.points.iter().rev().find(|p| p.frequency <= f)
-    }
-}
-
-impl<'a> IntoIterator for &'a OppTable {
-    type Item = &'a OperatingPoint;
-    type IntoIter = std::slice::Iter<'a, OperatingPoint>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.points.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::technology::{Technology, TechnologyKind};
 
-    fn a57() -> CoreModel {
-        CoreModel::cortex_a57(Technology::preset(TechnologyKind::FdSoi28))
-    }
-
-    #[test]
-    fn paper_ladder_spans_100mhz_to_2ghz() {
-        let ladder = OppTable::paper_ladder();
-        assert_eq!(ladder.len(), 20);
-        assert_eq!(ladder[0], MegaHertz(100.0));
-        assert_eq!(ladder[19], MegaHertz(2000.0));
-    }
-
-    #[test]
-    fn generated_table_is_sorted_and_voltage_monotone() {
-        let core = a57();
-        let t = OppTable::generate(&core, &OppTable::paper_ladder(), BodyBias::ZERO).unwrap();
-        assert!(!t.is_empty());
-        for w in t.points().windows(2) {
-            assert!(w[0].frequency < w[1].frequency);
-            assert!(w[0].vdd <= w[1].vdd);
-        }
-    }
-
-    #[test]
-    fn full_paper_range_is_reachable_in_fdsoi() {
-        let core = a57();
-        let t = OppTable::generate(&core, &OppTable::paper_ladder(), BodyBias::ZERO).unwrap();
-        assert_eq!(
-            t.len(),
-            20,
-            "fd-soi a57 must cover the whole 100 MHz - 2 GHz study range"
-        );
-    }
-
-    #[test]
-    fn bulk_skips_unreachable_top_frequencies() {
-        let core = CoreModel::cortex_a57(Technology::preset(TechnologyKind::Bulk28));
-        let t = OppTable::generate(&core, &OppTable::paper_ladder(), BodyBias::ZERO).unwrap();
-        assert!(t.len() < 20, "bulk cannot reach 2 GHz at rated voltage");
-        assert!(t.highest().unwrap().frequency >= MegaHertz(1800.0));
-    }
-
-    #[test]
-    fn lookups() {
-        let core = a57();
-        let t = OppTable::generate(&core, &OppTable::paper_ladder(), BodyBias::ZERO).unwrap();
-        assert_eq!(
-            t.at_least(MegaHertz(450.0)).unwrap().frequency,
-            MegaHertz(500.0)
-        );
-        assert_eq!(
-            t.at_most(MegaHertz(450.0)).unwrap().frequency,
-            MegaHertz(400.0)
-        );
-        assert!(t.at_least(MegaHertz(99_000.0)).is_none());
-        assert_eq!(t.lowest().unwrap().frequency, MegaHertz(100.0));
-    }
-
     #[test]
     fn display() {
-        let core = a57();
+        let core = CoreModel::cortex_a57(Technology::preset(TechnologyKind::FdSoi28));
         let p = OperatingPoint::at(&core, MegaHertz(1000.0), BodyBias::ZERO).unwrap();
         let s = p.to_string();
         assert!(s.contains("1000 MHz"), "{s}");

@@ -178,11 +178,6 @@ quantity!(
     Kelvin,
     "K"
 );
-quantity!(
-    /// Temperature in degrees Celsius.
-    Celsius,
-    "°C"
-);
 
 impl MegaHertz {
     /// Constructs a frequency from gigahertz.
@@ -240,32 +235,6 @@ impl Seconds {
     }
 }
 
-impl Celsius {
-    /// Converts to absolute temperature.
-    pub fn to_kelvin(self) -> Kelvin {
-        Kelvin(self.0 + 273.15)
-    }
-}
-
-impl Kelvin {
-    /// Converts to degrees Celsius.
-    pub fn to_celsius(self) -> Celsius {
-        Celsius(self.0 - 273.15)
-    }
-}
-
-impl From<Celsius> for Kelvin {
-    fn from(c: Celsius) -> Kelvin {
-        c.to_kelvin()
-    }
-}
-
-impl From<Kelvin> for Celsius {
-    fn from(k: Kelvin) -> Celsius {
-        k.to_celsius()
-    }
-}
-
 impl Watts {
     /// Energy dissipated at this power over a duration: `E = P · t`.
     pub fn over_time(self, t: Seconds) -> Joules {
@@ -319,14 +288,6 @@ mod tests {
         assert!((back.0 - f.0).abs() < 1e-9);
         assert!((f.as_ghz() - 2.0).abs() < 1e-12);
         assert!((MegaHertz::from_ghz(1.5).0 - 1500.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn temperature_conversions() {
-        let k = Celsius(55.0).to_kelvin();
-        assert!((k.0 - 328.15).abs() < 1e-9);
-        let c: Celsius = Kelvin(300.0).into();
-        assert!((c.0 - 26.85).abs() < 1e-9);
     }
 
     #[test]

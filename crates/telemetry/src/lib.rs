@@ -3,8 +3,8 @@
 //! Three pieces, all opt-in twice over (compile-time feature + runtime
 //! switch):
 //!
-//! - [`metrics`] — a process-global registry of typed counters, gauges,
-//!   and log₂-bucketed histograms. Recording is `&self` (relaxed
+//! - [`metrics`] — a process-global registry of typed counters and
+//!   log₂-bucketed histograms. Recording is `&self` (relaxed
 //!   atomics), registration is lazy and happens on first use, and
 //!   snapshots serialize to JSONL (one metric per line) under
 //!   `results/telemetry/` plus a human-readable summary table.
@@ -31,7 +31,7 @@ pub mod metrics;
 pub mod trace;
 
 pub use metrics::{
-    Counter, Gauge, Histogram, LazyCounter, LazyHistogram, MetricSnapshot, MetricValue, Registry,
+    Counter, Histogram, LazyCounter, LazyHistogram, MetricSnapshot, MetricValue, Registry,
 };
 pub use trace::{
     counter_args, push_events, span, span_cat, span_with, ChromeTrace, Span, TraceEvent,

@@ -1,6 +1,6 @@
 //! Typed metrics with a process-global registry.
 //!
-//! Primitives ([`Counter`], [`Gauge`], [`Histogram`]) record through
+//! Primitives ([`Counter`], [`Histogram`]) record through
 //! `&self` with relaxed atomics, so instrumented code never threads a
 //! handle around. The lazy wrappers ([`LazyCounter`], [`LazyHistogram`])
 //! are `static`-friendly: construction is `const`, the metric registers
@@ -13,7 +13,7 @@
 //! printed at the end of a `--metrics` bench run).
 
 use std::path::Path;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once, OnceLock, PoisonError};
 
 /// Monotonic event count. Relaxed-atomic recording through `&self`.
@@ -38,32 +38,6 @@ impl Counter {
 
     /// Current count.
     pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A signed point-in-time level (queue depth, occupancy, …).
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicI64);
-
-impl Gauge {
-    /// A zeroed gauge (usable in `static` initializers).
-    pub const fn new() -> Self {
-        Gauge(AtomicI64::new(0))
-    }
-
-    /// Set the level.
-    pub fn set(&self, value: i64) {
-        self.0.store(value, Ordering::Relaxed);
-    }
-
-    /// Adjust the level by `delta` (may be negative).
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    /// Current level.
-    pub fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -280,7 +254,6 @@ impl LazyHistogram {
 
 enum Slot {
     Counter(&'static Counter),
-    Gauge(&'static Gauge),
     Histogram(&'static Histogram),
 }
 
@@ -314,11 +287,6 @@ impl Registry {
         self.register(name, Slot::Counter(counter));
     }
 
-    /// Register a gauge under `name` (first registration wins).
-    pub fn register_gauge(&self, name: &'static str, gauge: &'static Gauge) {
-        self.register(name, Slot::Gauge(gauge));
-    }
-
     /// Register a histogram under `name` (first registration wins).
     pub fn register_histogram(&self, name: &'static str, histogram: &'static Histogram) {
         self.register(name, Slot::Histogram(histogram));
@@ -333,7 +301,6 @@ impl Registry {
                 name,
                 value: match slot {
                     Slot::Counter(c) => MetricValue::Counter(c.get()),
-                    Slot::Gauge(g) => MetricValue::Gauge(g.get()),
                     Slot::Histogram(h) => MetricValue::Histogram(h.snapshot()),
                 },
             })
@@ -348,8 +315,6 @@ impl Registry {
 pub enum MetricValue {
     /// Counter value.
     Counter(u64),
-    /// Gauge level.
-    Gauge(i64),
     /// Histogram summary.
     Histogram(HistogramSnapshot),
 }
@@ -390,9 +355,6 @@ impl MetricSnapshot {
             MetricValue::Counter(v) => {
                 format!("{{\"name\":{name},\"kind\":\"counter\",\"value\":{v}}}")
             }
-            MetricValue::Gauge(v) => {
-                format!("{{\"name\":{name},\"kind\":\"gauge\",\"value\":{v}}}")
-            }
             MetricValue::Histogram(h) => format!(
                 "{{\"name\":{name},\"kind\":\"histogram\",\"count\":{},\"sum\":{},\
                  \"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
@@ -431,7 +393,6 @@ pub fn summary_table(snapshots: &[MetricSnapshot]) -> String {
     for s in snapshots {
         let value = match &s.value {
             MetricValue::Counter(v) => format!("{v}"),
-            MetricValue::Gauge(v) => format!("{v}"),
             MetricValue::Histogram(h) => format!(
                 "n={} mean={:.1} min={} p50={} p90={} p99={} max={}",
                 h.count,
@@ -466,15 +427,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(41);
         assert_eq!(c.get(), 42);
-        let g = Gauge::new();
-        g.set(10);
-        g.add(-3);
-        assert_eq!(g.get(), 7);
     }
 
     #[test]
@@ -535,16 +492,12 @@ mod tests {
                 value: MetricValue::Counter(7),
             },
             MetricSnapshot {
-                name: "test.gauge",
-                value: MetricValue::Gauge(-2),
-            },
-            MetricSnapshot {
                 name: "test.histogram",
                 value: MetricValue::Histogram(h.snapshot()),
             },
         ];
         let text = jsonl(&snapshots);
-        assert_eq!(text.lines().count(), 3);
+        assert_eq!(text.lines().count(), 2);
         for line in text.lines() {
             let value: serde_json::Value =
                 serde_json::from_str(line).expect("each JSONL line parses as JSON");

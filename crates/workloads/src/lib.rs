@@ -35,7 +35,6 @@ pub mod diurnal;
 pub mod prewarm;
 pub mod profile;
 pub mod stream;
-pub mod ycsb;
 
 pub use banking::BankingWorkload;
 pub use bitbrains::{BitbrainsSynthesizer, VmClass, VmRecord};
@@ -43,4 +42,3 @@ pub use diurnal::DiurnalLoad;
 pub use prewarm::prewarm_cluster;
 pub use profile::{CloudSuiteApp, QosTarget, WorkloadKind, WorkloadProfile};
 pub use stream::ProfileStream;
-pub use ycsb::{YcsbGenerator, YcsbMix, ZipfSampler};

@@ -8,19 +8,19 @@
 //! * [`tech`] — 28 nm bulk / UTBB FD-SOI device models: EKV drive current,
 //!   body biasing (85 mV/V), leakage, `Fmax`/`Vdd_min`, SRAM limits,
 //!   process variation.
-//! * [`power`] — Cortex-A57 core power, CACTI-lite LLC, crossbar,
+//! * [`power`] — Cortex-A57 core power, per-MB LLC slice power, crossbar,
 //!   McPAT-lite I/O, Micron DDR4/LPDDR4 memory power (paper Table I), and
 //!   the power-optimal forward-body-bias search.
 //! * [`sim`] — the cycle-level 4-core cluster simulator: 3-way OoO cores,
 //!   L1/LLC hierarchy with coherence, crossbar, DDR4 timing with FR-FCFS.
-//! * [`workloads`] — CloudSuite-calibrated scale-out profiles, YCSB/Zipf
-//!   request generation, banking VMs, Bitbrains population synthesis.
+//! * [`workloads`] — CloudSuite-calibrated scale-out profiles, banking
+//!   VMs, Bitbrains population synthesis.
 //! * [`sampling`] — SMARTS sampling, confidence intervals, matched pairs.
-//! * [`qos`] — tail-latency baseline, UIPS-ratio latency scaling, batch
-//!   degradation bounds.
+//! * [`qos`] — UIPS-ratio scaling of each profile's calibrated 2 GHz
+//!   tail latency, batch degradation bounds.
 //! * [`core`] — the study itself: server configuration, frequency sweeps,
-//!   three-scope efficiency, QoS-constrained optima, and the
-//!   energy-proportionality / body-bias / consolidation extensions.
+//!   three-scope efficiency, QoS-constrained optima, and the body-bias /
+//!   consolidation / heterogeneous-chip extensions.
 //! * [`telemetry`] — zero-cost observability: metrics registry, span
 //!   tracing with Chrome-trace export, sim probes (compile in with the
 //!   `telemetry` feature, switch on with `NTC_TRACE`/`NTC_METRICS`).

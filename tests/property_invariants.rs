@@ -8,7 +8,6 @@ use ntserver::sim::llc::{Invalidation, LlcAccess, LlcStats, SharedLlc, SharerMas
 use ntserver::tech::{
     BodyBias, CoreModel, Kelvin, MegaHertz, OperatingPoint, Technology, TechnologyKind, Volts,
 };
-use ntserver::workloads::ZipfSampler;
 use proptest::prelude::*;
 
 proptest! {
@@ -177,26 +176,6 @@ proptest! {
         }
         prop_assert_eq!(sys.stats().reads, addrs.len() as u64);
         prop_assert_eq!(sys.pending(), 0);
-    }
-
-    /// Zipf samples stay in range and skew toward the head for any n.
-    #[test]
-    fn zipf_is_in_range_and_skewed(n in 10u64..100_000, seed in 0u64..1000) {
-        use rand::rngs::SmallRng;
-        use rand::SeedableRng;
-        let z = ZipfSampler::ycsb_default(n);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut head = 0u32;
-        let draws = 500;
-        for _ in 0..draws {
-            let r = z.sample(&mut rng);
-            prop_assert!(r < n);
-            if r < n.div_ceil(10) {
-                head += 1;
-            }
-        }
-        // The top decile must receive far more than a tenth of the draws.
-        prop_assert!(head > draws / 5, "zipf head too light: {head}/{draws}");
     }
 
     /// Operating points round-trip through serde (the study serializes
